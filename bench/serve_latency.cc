@@ -137,8 +137,6 @@ runPhase(const std::vector<TenantTraffic> &traffic, bool obs,
     options.shards = kShards;
     options.queueCapacity = kTenants * kClientBatch * 4;
     options.maxBatch = 64;
-    const os::KernelCosts costs = os::newKernelCosts();
-    options.costs = &costs;
     serve::CheckService service(options);
 
     serve::ServerOptions serverOptions;

@@ -331,8 +331,6 @@ main(int argc, char **argv)
     serviceOptions.shards = 2;
     serviceOptions.queueCapacity = 4096;
     serviceOptions.maxBatch = 64;
-    const os::KernelCosts costs = os::newKernelCosts();
-    serviceOptions.costs = &costs;
     serve::CheckService service(serviceOptions);
 
     serve::ServerOptions serverOptions;

@@ -1,18 +1,18 @@
 /**
  * @file
- * dracod serving throughput: modeled QPS and measured latency versus
- * shard count, with and without batching.
+ * dracod serving throughput: measured QPS, latency and shard balance
+ * versus shard count, with and without batching.
  *
  * 16 tenants (so every swept shard count divides the tenant set evenly)
  * replay per-tenant synthetic traces through an in-process CheckService,
  * closed-loop. For each (shards × batching) cell the table reports:
  *
- *  - qps       modeled throughput: checks / maxShardBusyNs, the
- *              §V-C-priced makespan of the busiest shard. Deterministic
- *              on any host and independent of driver scheduling — this
- *              is the headline scaling figure (4 shards ≥ 3× 1 shard).
  *  - wall_qps  measured wall-clock throughput (host-dependent).
  *  - p50/p99   measured submit-to-verdict batch latency (µs).
+ *  - balance   total checks ÷ the busiest shard's checks: how much of
+ *              the shard count the tenant placement can use. It is
+ *              deterministic on any host and independent of thread
+ *              scheduling (4 shards must reach ≥ 3).
  *
  * Batching on: clients submit 32-request batches and workers drain up
  * to 64 requests per wakeup. Batching off: single-request submits,
@@ -21,12 +21,13 @@
  * equal to the 1-shard baseline's — zero lost or duplicated verdicts.
  *
  * JSON artifact: `sweep.s<shards>.<batch|nobatch>.*` per cell plus
- * `figure.speedup_modeled.s{2,4,8}` (batch-on modeled QPS over the
- * 1-shard baseline). Wall/latency gauges are measured, not modeled, so
- * unlike the figure benches this artifact is not byte-stable across
- * runs; the modeled `qps` gauges and the verdict assertions are.
+ * `figure.balance.s{2,4,8}` (batch-on balance). Wall/latency gauges are
+ * measured, so unlike the figure benches this artifact is not
+ * byte-stable across runs; the check counts, the balance figures and
+ * the verdict assertions are.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <thread>
@@ -83,8 +84,8 @@ makeTraffic()
 }
 
 struct CellResult {
-    double qps = 0.0;         ///< Modeled (deterministic).
     double wallQps = 0.0;     ///< Measured.
+    double balance = 0.0;     ///< Checks ÷ busiest shard's checks.
     double wallSeconds = 0.0;
     QuantileSketch latencyUs; ///< Measured batch latency.
     uint64_t checks = 0;
@@ -105,8 +106,6 @@ runCell(const std::vector<TenantTraffic> &traffic, unsigned shards,
     // verdict must be a real check for the determinism assertion.
     options.queueCapacity = kTenants * kClientBatch * 4;
     options.maxBatch = batching ? 64 : 1;
-    const os::KernelCosts costs = os::newKernelCosts();
-    options.costs = &costs;
 
     serve::CheckService service(options);
     static const seccomp::Profile profile =
@@ -171,10 +170,6 @@ runCell(const std::vector<TenantTraffic> &traffic, unsigned shards,
     service.stop();
 
     cell.checks = service.totalChecks();
-    const double busyNs = service.maxShardBusyNs();
-    cell.qps = busyNs > 0.0
-                   ? static_cast<double>(cell.checks) / busyNs * 1e9
-                   : 0.0;
     cell.wallQps = cell.wallSeconds > 0.0
                        ? static_cast<double>(cell.checks) /
                              cell.wallSeconds
@@ -186,6 +181,15 @@ runCell(const std::vector<TenantTraffic> &traffic, unsigned shards,
     service.exportMetrics(scratch);
     cell.drains = scratch.counterValue("serve.drains");
     cell.avgBatch = scratch.runningStat("serve.batch_size").mean();
+    uint64_t busiest = 0;
+    for (unsigned i = 0; i < shards; ++i)
+        busiest = std::max(busiest,
+                           scratch.counterValue("serve.shards.s" +
+                                                std::to_string(i) +
+                                                ".checks"));
+    cell.balance = busiest > 0 ? static_cast<double>(cell.checks) /
+                                     static_cast<double>(busiest)
+                               : 0.0;
 
     uint64_t expected = 0;
     for (const TenantTraffic &tenant : traffic)
@@ -209,12 +213,11 @@ main(int argc, char **argv)
 
     const std::vector<unsigned> shardCounts = {1, 2, 4, 8};
     TextTable table("dracod serving throughput (" +
-                    std::to_string(kTenants) + " tenants, modeled QPS)");
-    table.setHeader({"shards", "qps", "qps-nobatch", "wall_qps",
-                     "p50_us", "p99_us", "avg_batch", "speedup"});
+                    std::to_string(kTenants) + " tenants, measured)");
+    table.setHeader({"shards", "wall_qps", "wall_qps-nobatch", "p50_us",
+                     "p99_us", "avg_batch", "balance"});
 
     std::vector<std::pair<uint64_t, uint64_t>> baseline;
-    double baseQps = 0.0;
     for (unsigned shards : shardCounts) {
         CellResult batched = runCell(traffic, shards, true);
         CellResult unbatched = runCell(traffic, shards, false);
@@ -229,35 +232,22 @@ main(int argc, char **argv)
                   "shards=%u",
                   shards);
 
-        if (shards == 1)
-            baseQps = batched.qps;
-        const double speedup =
-            baseQps > 0.0 ? batched.qps / baseQps : 0.0;
-
         table.addRow({std::to_string(shards),
-                      TextTable::num(batched.qps, 0),
-                      TextTable::num(unbatched.qps, 0),
                       TextTable::num(batched.wallQps, 0),
+                      TextTable::num(unbatched.wallQps, 0),
                       TextTable::num(batched.latencyUs.quantile(0.50), 1),
                       TextTable::num(batched.latencyUs.quantile(0.99), 1),
                       TextTable::num(batched.avgBatch, 1),
-                      TextTable::num(speedup, 2)});
+                      TextTable::num(batched.balance, 2)});
 
         for (int pass = 0; pass < 2; ++pass) {
             const CellResult &cell = pass == 0 ? batched : unbatched;
             std::string prefix = "sweep.s" + std::to_string(shards) +
                                  (pass == 0 ? ".batch" : ".nobatch");
             MetricRegistry &registry = report.registry();
-            registry.setGauge(MetricRegistry::join(prefix, "qps"),
-                              cell.qps);
             registry.setGauge(MetricRegistry::join(prefix, "wall_qps"),
                               cell.wallQps);
-            // Per-check cost, the unit the hotpath bench argues in:
-            // ns_per_check is modeled (busiest-shard makespan over
-            // checks, deterministic); wall_ns_per_check is measured.
-            registry.setGauge(
-                MetricRegistry::join(prefix, "ns_per_check"),
-                cell.qps > 0.0 ? 1e9 / cell.qps : 0.0);
+            // Per-check cost, the unit the hotpath bench argues in.
             registry.setGauge(
                 MetricRegistry::join(prefix, "wall_ns_per_check"),
                 cell.checks > 0
@@ -286,8 +276,8 @@ main(int argc, char **argv)
         }
         if (shards > 1)
             report.registry().setGauge(
-                "figure.speedup_modeled.s" + std::to_string(shards),
-                speedup);
+                "figure.balance.s" + std::to_string(shards),
+                batched.balance);
     }
     report.registry().setCounter("sweep.tenants", kTenants);
     report.registry().setCounter("sweep.client_batch", kClientBatch);

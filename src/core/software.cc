@@ -168,26 +168,6 @@ DracoSoftwareChecker::check(const os::SyscallRequest &req)
     return traced(out);
 }
 
-double
-swCheckCostNs(const SwCheckOutcome &outcome, const os::KernelCosts &costs,
-              unsigned filterCopies)
-{
-    double ns = costs.dracoSptLookupNs;
-    if (outcome.hashedBytes > 0) {
-        ns += 2 * (costs.dracoHashFixedNs +
-                   costs.dracoHashPerByteNs * outcome.hashedBytes);
-        ns += outcome.vatProbes * costs.dracoVatProbeNs;
-    }
-    if (outcome.filterInsns > 0) {
-        // Entry overhead applies once per attached filter copy.
-        ns += filterCopies * costs.seccompEntryNs +
-              outcome.filterInsns * costs.bpfInsnNs;
-    }
-    if (outcome.vatInserted)
-        ns += costs.dracoVatInsertNs;
-    return ns;
-}
-
 void
 exportStats(const SwCheckStats &stats, MetricRegistry &registry,
             const std::string &prefix)

@@ -10,8 +10,9 @@
  * stateless, so a past validation never needs repeating (§V).
  *
  * The checker reports *what happened* (paths, probes, hashed bytes,
- * executed filter instructions); the sim module prices those events
- * using KernelCosts.
+ * executed filter instructions) and never what it would cost: pricing
+ * those events in modeled kernel nanoseconds is the simulator's job
+ * (sim/pricer), and the serving path reports only measured time.
  */
 
 #ifndef DRACO_CORE_SOFTWARE_HH
@@ -23,7 +24,6 @@
 
 #include "core/checkspec.hh"
 #include "core/vat.hh"
-#include "os/kernelcosts.hh"
 #include "seccomp/filter_builder.hh"
 #include "seccomp/profile.hh"
 
@@ -62,24 +62,6 @@ struct SwCheckStats {
 /** Export a software-checker counter block under @p prefix. */
 void exportStats(const SwCheckStats &stats, MetricRegistry &registry,
                  const std::string &prefix);
-
-/**
- * Price one software-Draco check in nanoseconds under @p costs: the
- * SPT indexed lookup, two CRC-64 hashes plus the cuckoo-way probes when
- * arguments were hashed, and the Seccomp entry plus per-instruction
- * cost when the fallback filter ran. This is the single §V-C cost
- * model — the simulator's pricer and the serve subsystem's shard
- * accounting both use it, so a check is priced identically wherever it
- * executes.
- *
- * @param outcome What the check did.
- * @param costs Kernel cost preset.
- * @param filterCopies Attached filter count (entry cost applies per
- *        copy).
- */
-double swCheckCostNs(const SwCheckOutcome &outcome,
-                     const os::KernelCosts &costs,
-                     unsigned filterCopies = 1);
 
 /**
  * The immutable, shareable compile of one profile: the policy itself,

@@ -625,6 +625,13 @@ SocketServer::handleFrame(Loop &loop, Conn *conn,
         wire::Hello msg;
         if (!wire::decode(payload, msg))
             return false;
+        if (msg.version != wire::kProtocolVersion) {
+            logWarnEvery("serve.version", 1000,
+                         "dracod: client speaks protocol v%u, server "
+                         "v%u; closing connection",
+                         msg.version, wire::kProtocolVersion);
+            return false;
+        }
         wire::HelloReply r;
         r.version = wire::kProtocolVersion;
         r.shards = _service.shards();

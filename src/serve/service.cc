@@ -6,7 +6,6 @@
 #include "lifecycle/store.hh"
 #include "obs/serveobs.hh"
 #include "obs/tracer.hh"
-#include "os/kernelcosts.hh"
 #include "support/logging.hh"
 
 namespace draco::serve {
@@ -94,7 +93,6 @@ itemRequests(uint32_t count, bool isCheck)
 
 CheckService::CheckService(const ServiceOptions &options)
     : _options(options),
-      _costs(options.costs ? options.costs : &os::newKernelCosts()),
       _pool(std::max(1u, options.shards),
             support::ThreadPool::Spawn::Always)
 {
@@ -372,7 +370,6 @@ CheckService::snapshotTenant(const TenantState &t, TenantStats &out) const
     out.allowed = t.allowed;
     out.denied = t.denied;
     out.rejects = t.rejects.load();
-    out.busyNs = t.busyNs;
     out.epoch = t.epochs.epoch();
     out.swaps = t.swaps;
 }
@@ -525,16 +522,15 @@ void
 CheckService::process(Shard &shard, std::vector<Item> &items)
 {
     uint32_t requestsChecked = 0;
-    double drainNs = 0.0;
 
-    // One wall-clock read per drain, taken lazily at the first
-    // instrumented item: every record in this drain shares it, so
-    // observability costs O(records), not O(requests), clock reads.
-    uint64_t drainStartNs = 0;
+    // Two clock reads per drain, whatever the batch size: the start
+    // stamps every latency record in the drain, and the measured drain
+    // time feeds the retry-hint EWMA below.
+    const uint64_t drainStartNs = obs::nowNs();
 
     // Batch completions are deferred past the shard-counter updates
-    // below: a waiter woken by its batch must observe totalChecks()/
-    // busy-time figures that already include its own requests.
+    // below: a waiter woken by its batch must observe totalChecks()
+    // figures that already include its own requests.
     std::vector<std::pair<Batch *, uint32_t>> completions;
     completions.reserve(items.size());
 
@@ -542,11 +538,8 @@ CheckService::process(Shard &shard, std::vector<Item> &items)
         TenantState *t = item.tenant;
         switch (item.op) {
           case Op::Check: {
-            if (item.rec) {
-                if (drainStartNs == 0)
-                    drainStartNs = obs::nowNs();
+            if (item.rec)
                 item.rec->drainStartNs = drainStartNs;
-            }
             if (!t->checker && !t->evicted.load() &&
                 t->epochs.epoch() != 0)
                 materializeChecker(shard, *t);
@@ -570,10 +563,6 @@ CheckService::process(Shard &shard, std::vector<Item> &items)
                 for (uint32_t i = 0; i < item.count; ++i) {
                     core::SwCheckOutcome out =
                         t->checker->check(item.reqs[i]);
-                    double ns = core::swCheckCostNs(
-                        out, *_costs, t->opts.filterCopies);
-                    t->busyNs += ns;
-                    drainNs += ns;
                     CheckResponse &resp = item.resps[i];
                     resp.status = out.allowed ? CheckStatus::Allowed
                                               : CheckStatus::Denied;
@@ -648,12 +637,10 @@ CheckService::process(Shard &shard, std::vector<Item> &items)
         }
     }
 
-    shard.busyNs += drainNs;
     ++shard.drains;
     shard.processed += requestsChecked;
     shard.processedMirror.store(shard.processed,
                                 std::memory_order_relaxed);
-    shard.busyNsMirror.store(shard.busyNs, std::memory_order_relaxed);
     shard.batchStat.add(requestsChecked);
     shard.lastBatch.store(requestsChecked, std::memory_order_relaxed);
     if (_shardResidentCap) {
@@ -662,15 +649,17 @@ CheckService::process(Shard &shard, std::vector<Item> &items)
                              std::memory_order_relaxed);
     }
     if (requestsChecked > 0) {
-        double perCheck = drainNs / requestsChecked;
+        double perCheck =
+            static_cast<double>(obs::nowNs() - drainStartNs) /
+            requestsChecked;
         double old = shard.ewmaCheckNs.load(std::memory_order_relaxed);
         shard.ewmaCheckNs.store(0.8 * old + 0.2 * perCheck,
                                 std::memory_order_relaxed);
     }
     if (shard.tracer) {
-        // The modeled busy clock drives telemetry, so exported samples
-        // are deterministic regardless of host timing.
-        shard.tracer->setNowNs(shard.busyNs);
+        // Telemetry runs on a logical clock, the shard's checked
+        // requests, never on wall time or modeled time.
+        shard.tracer->setNow(shard.processed);
         shard.tracer->maybeSample();
     }
 
@@ -834,15 +823,6 @@ CheckService::totalRejects() const
     return total;
 }
 
-double
-CheckService::maxShardBusyNs() const
-{
-    double ns = 0.0;
-    for (const auto &shard : _shards)
-        ns = std::max(ns, shard->busyNs);
-    return ns;
-}
-
 uint32_t
 CheckService::residentTenants() const
 {
@@ -905,7 +885,6 @@ CheckService::exportMetrics(MetricRegistry &registry,
     uint64_t drains = 0;
     uint64_t queueFull = 0;
     uint64_t rejects = 0;
-    double busyTotal = 0.0;
     RunningStat batchStat;
     RunningStat depthStat;
 
@@ -915,7 +894,6 @@ CheckService::exportMetrics(MetricRegistry &registry,
         drains += shard.drains;
         queueFull += shard.queueFullRejects;
         rejects += shard.rejects.load();
-        busyTotal += shard.busyNs;
         batchStat.merge(shard.batchStat);
         depthStat.merge(shard.depthStat);
 
@@ -926,7 +904,6 @@ CheckService::exportMetrics(MetricRegistry &registry,
         registry.setCounter(sp + ".rejects_queue_full",
                             shard.queueFullRejects);
         registry.setCounter(sp + ".peak_depth", shard.peakDepth);
-        registry.setGauge(sp + ".busy_ns", shard.busyNs);
     }
 
     registry.setCounter(name("shard_count"), _shards.size());
@@ -940,13 +917,6 @@ CheckService::exportMetrics(MetricRegistry &registry,
                         rejects >= queueFull ? rejects - queueFull : 0);
     registry.setStat(name("batch_size"), batchStat);
     registry.setStat(name("queue_depth"), depthStat);
-    double busyMax = maxShardBusyNs();
-    registry.setGauge(name("busy_ns.total"), busyTotal);
-    registry.setGauge(name("busy_ns.max"), busyMax);
-    registry.setGauge(name("modeled_qps"),
-                      busyMax > 0.0
-                          ? static_cast<double>(checks) / busyMax * 1e9
-                          : 0.0);
 
     uint32_t count = _tenantCount.load(std::memory_order_acquire);
     registry.setCounter(name("tenants.count"), count);
@@ -966,7 +936,6 @@ CheckService::exportMetrics(MetricRegistry &registry,
         registry.setCounter(tp + ".evicted", t->evicted.load() ? 1 : 0);
         registry.setCounter(tp + ".epoch", t->epochs.epoch());
         registry.setCounter(tp + ".swaps", t->swaps);
-        registry.setGauge(tp + ".busy_ns", t->busyNs);
         if (t->checker)
             core::exportStats(t->checker->stats(), registry,
                               tp + ".check");
@@ -1022,18 +991,14 @@ CheckService::exportLiveMetrics(MetricRegistry &registry,
 
     uint64_t checks = 0;
     uint64_t rejects = 0;
-    double busyMax = 0.0;
     for (size_t i = 0; i < _shards.size(); ++i) {
         const Shard &shard = *_shards[i];
         const uint64_t shardChecks =
             shard.processedMirror.load(std::memory_order_relaxed);
         const uint64_t shardRejects =
             shard.rejects.load(std::memory_order_relaxed);
-        const double shardBusy =
-            shard.busyNsMirror.load(std::memory_order_relaxed);
         checks += shardChecks;
         rejects += shardRejects;
-        busyMax = std::max(busyMax, shardBusy);
 
         std::string sp = name("shards.s" + std::to_string(i));
         registry.setCounter(sp + ".checks", shardChecks);
@@ -1046,7 +1011,6 @@ CheckService::exportLiveMetrics(MetricRegistry &registry,
         registry.setGauge(
             sp + ".resident",
             shard.resident.load(std::memory_order_relaxed));
-        registry.setGauge(sp + ".busy_ns", shardBusy);
         registry.setGauge(
             sp + ".ewma_check_ns",
             shard.ewmaCheckNs.load(std::memory_order_relaxed));
@@ -1055,11 +1019,6 @@ CheckService::exportLiveMetrics(MetricRegistry &registry,
     registry.setCounter(name("shard_count"), _shards.size());
     registry.setCounter(name("checks"), checks);
     registry.setCounter(name("rejects"), rejects);
-    registry.setGauge(name("busy_ns.max"), busyMax);
-    registry.setGauge(name("modeled_qps"),
-                      busyMax > 0.0
-                          ? static_cast<double>(checks) / busyMax * 1e9
-                          : 0.0);
 
     ServiceStatsSnapshot svc;
     serviceStats(svc);

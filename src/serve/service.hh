@@ -17,15 +17,14 @@
  * *attributed to that tenant*, so a flooder rejects its own traffic,
  * not its neighbours'), then the shard queue's request capacity (shed
  * as Overloaded with a retry-after hint derived from queue depth times
- * the shard's recent modeled per-check cost). Nothing ever blocks a
+ * the shard's recent measured per-check time). Nothing ever blocks a
  * producer and queue memory is strictly bounded.
  *
  * Workers drain up to maxBatch requests per wakeup so queue-lock and
- * telemetry costs amortize across a batch. Each check is priced with
- * the shared §V-C cost model (core::swCheckCostNs); the accumulated
- * per-shard busy time is the service's modeled clock — it drives the
- * per-shard telemetry tracks and the modeled-QPS figures the bench
- * reports, and is deterministic on any host.
+ * telemetry costs amortize across a batch. The service reports only
+ * measured time; the §V-C modeled kernel cost of a check belongs to
+ * the simulator (sim/pricer). Per-shard telemetry runs on a logical
+ * clock, the shard's checked-request count.
  */
 
 #ifndef DRACO_SERVE_SERVICE_HH
@@ -222,12 +221,6 @@ class CheckService
     /** @return Requests shed by admission control, across all shards. */
     uint64_t totalRejects() const;
 
-    /**
-     * @return The busiest shard's modeled service time — the modeled
-     *         makespan of everything checked so far (§V-C pricing).
-     */
-    double maxShardBusyNs() const;
-
     /** @return true when a resident-tenant cap governs this service. */
     bool lifecycleEnabled() const { return _shardResidentCap != 0; }
 
@@ -296,7 +289,6 @@ class CheckService
         uint64_t allowed = 0;
         uint64_t denied = 0;
         uint64_t swaps = 0; ///< Epochs published beyond the first.
-        double busyNs = 0.0;
         bool hasSnapshot = false; ///< A `.dtss` awaits in the store.
         core::SwCheckStats frozenStats; ///< Stats while snapshotted.
     };
@@ -328,13 +320,12 @@ class CheckService
         std::atomic<uint64_t> rejects{0};   ///< All sheds, any cause.
         std::atomic<uint32_t> lastBatch{0}; ///< Last drain size.
 
-        /** EWMA of modeled ns per checked request (retry hints). */
+        /** EWMA of measured drain ns per checked request (retry hints). */
         std::atomic<double> ewmaCheckNs{100.0};
 
         // Owned by the shard worker (single writer).
         uint64_t processed = 0;  ///< Requests checked.
         uint64_t drains = 0;     ///< Worker wakeups that took work.
-        double busyNs = 0.0;     ///< Modeled service time (§V-C).
         RunningStat batchStat;   ///< Requests per drain.
         uint32_t peakDepth = 0;  ///< Deepest queue seen at enqueue.
         lifecycle::ResidentLru lru; ///< Resident tenants, LRU order.
@@ -342,7 +333,6 @@ class CheckService
         /** Cross-thread mirrors of worker-owned lifecycle state. */
         std::atomic<uint32_t> resident{0};
         std::atomic<uint64_t> processedMirror{0};
-        std::atomic<double> busyNsMirror{0.0}; ///< For live scrapes.
 
         obs::Tracer *tracer = nullptr;
     };
@@ -373,7 +363,6 @@ class CheckService
     void enforceResidentCap(Shard &shard);
 
     ServiceOptions _options;
-    const os::KernelCosts *_costs;
 
     std::vector<std::unique_ptr<Shard>> _shards;
 

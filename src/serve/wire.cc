@@ -266,7 +266,6 @@ encode(std::vector<uint8_t> &out, const TenantStatsReply &msg)
     putU64(out, s.allowed);
     putU64(out, s.denied);
     putU64(out, s.rejects);
-    putU64(out, static_cast<uint64_t>(s.busyNs + 0.5));
     putU64(out, s.epoch);
     putU64(out, s.swaps);
 }
@@ -285,7 +284,6 @@ decode(const std::vector<uint8_t> &payload, TenantStatsReply &out)
         return pos == payload.size();
     TenantStats &s = out.stats;
     uint8_t evicted;
-    uint64_t busyNs;
     if (!takeString(payload, pos, s.name) ||
         !takeU32(payload, pos, s.id) ||
         !takeU32(payload, pos, s.shard) ||
@@ -300,13 +298,11 @@ decode(const std::vector<uint8_t> &payload, TenantStatsReply &out)
         !takeU64(payload, pos, s.allowed) ||
         !takeU64(payload, pos, s.denied) ||
         !takeU64(payload, pos, s.rejects) ||
-        !takeU64(payload, pos, busyNs) ||
         !takeU64(payload, pos, s.epoch) ||
         !takeU64(payload, pos, s.swaps)) {
         return false;
     }
     s.evicted = evicted != 0;
-    s.busyNs = static_cast<double>(busyNs);
     return pos == payload.size();
 }
 

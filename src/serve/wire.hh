@@ -30,11 +30,13 @@
 namespace draco::serve::wire {
 
 /**
- * Protocol version expected in Hello. Version 2 added the per-verdict
- * policy epoch to CheckBatchReply, the epoch/swap counters to
- * TenantStatsReply and ServiceStatsReply, and the UpdateProfile op.
+ * Protocol version expected in Hello; the server refuses any other.
+ * Version 2 added the per-verdict policy epoch to CheckBatchReply, the
+ * epoch/swap counters to TenantStatsReply and ServiceStatsReply, and
+ * the UpdateProfile op. Version 3 drops the modeled busy time from
+ * TenantStatsReply: the daemon reports no simulator nanoseconds.
  */
-inline constexpr uint32_t kProtocolVersion = 2;
+inline constexpr uint32_t kProtocolVersion = 3;
 
 /** Upper bound on one frame's payload (decoder rejects beyond it). */
 inline constexpr uint32_t kMaxFrameBytes = 1u << 20;
@@ -100,7 +102,7 @@ struct TenantStatsReq {
 
 struct TenantStatsReply {
     bool ok = false;
-    TenantStats stats; ///< busyNs rounded to whole nanoseconds.
+    TenantStats stats;
 };
 
 struct EvictTenant {

@@ -29,7 +29,67 @@ dispatchToHeadNs(Rng &rng)
     return static_cast<double>(ahead) / kAvgIpc * kCycleNs;
 }
 
+/**
+ * Price one software-Draco check (§V-C): the SPT indexed lookup, two
+ * CRC-64 hashes plus the cuckoo-way probes when arguments were hashed,
+ * and the Seccomp entry (once per attached filter copy) plus
+ * per-instruction cost when the fallback filter ran.
+ */
+double
+swCheckCostNs(const core::SwCheckOutcome &outcome,
+              const os::KernelCosts &costs, unsigned filterCopies)
+{
+    double ns = costs.dracoSptLookupNs;
+    if (outcome.hashedBytes > 0) {
+        ns += 2 * (costs.dracoHashFixedNs +
+                   costs.dracoHashPerByteNs * outcome.hashedBytes);
+        ns += outcome.vatProbes * costs.dracoVatProbeNs;
+    }
+    if (outcome.filterInsns > 0) {
+        ns += filterCopies * costs.seccompEntryNs +
+              outcome.filterInsns * costs.bpfInsnNs;
+    }
+    if (outcome.vatInserted)
+        ns += costs.dracoVatInsertNs;
+    return ns;
+}
+
 } // namespace
+
+double
+hwCheckCostNs(core::DracoHardwareEngine &engine, CacheHierarchy &cache,
+              Rng &robRng, const os::SyscallRequest &req,
+              const os::KernelCosts &costs, unsigned filterCopies,
+              core::HwSyscallResult &out)
+{
+    engine.onDispatch(req.pc);
+    out = engine.onRobHead(req);
+
+    double ns = 0.0;
+    // Preload fetches overlap with dispatch→head time.
+    if (!out.preloadMemAddrs.empty()) {
+        double window = dispatchToHeadNs(robRng);
+        double fetchNs = 0.0;
+        for (uint64_t addr : out.preloadMemAddrs)
+            fetchNs = std::max(fetchNs, cache.access(addr).second);
+        ns += std::max(0.0, fetchNs - window);
+    }
+
+    // Head-of-ROB reads stall retirement; the two cuckoo-way probes are
+    // issued in parallel (§V-B).
+    double headNs = 0.0;
+    for (uint64_t addr : out.headMemAddrs)
+        headNs = std::max(headNs, cache.access(addr).second);
+    ns += headNs;
+
+    if (out.filterRun) {
+        ns += filterCopies * costs.seccompEntryNs +
+              out.filterInsns * costs.bpfInsnNs;
+        if (out.vatInserted)
+            ns += costs.dracoVatInsertNs;
+    }
+    return ns;
+}
 
 MechanismPricer::MechanismPricer(Mechanism mechanism,
                                  const seccomp::Profile &profile,
@@ -164,8 +224,7 @@ MechanismPricer::price(const workload::TraceEvent &event,
             price.flow = obs::FlowCode::Denied;
             break;
         }
-        price.checkNs +=
-            core::swCheckCostNs(out, _costs, _filterCopies);
+        price.checkNs += swCheckCostNs(out, _costs, _filterCopies);
         price.filterInsns += out.filterInsns;
         break;
       }
@@ -176,34 +235,14 @@ MechanismPricer::price(const workload::TraceEvent &event,
         for (uint64_t bytes : neighbourL3Bytes)
             _cache->externalL3Pressure(bytes);
 
-        _hwEngine->onDispatch(event.req.pc);
-        core::HwSyscallResult out = _hwEngine->onRobHead(event.req);
+        core::HwSyscallResult out;
+        price.checkNs += hwCheckCostNs(*_hwEngine, *_cache, _robRng,
+                                       event.req, _costs, _filterCopies,
+                                       out);
         // HwFlow values 0–7 coincide with the first FlowCode values.
         price.flow = static_cast<obs::FlowCode>(out.flow);
-
-        // Preload fetches overlap with dispatch→head time.
-        if (!out.preloadMemAddrs.empty()) {
-            double window = dispatchToHeadNs(_robRng);
-            double fetchNs = 0.0;
-            for (uint64_t addr : out.preloadMemAddrs)
-                fetchNs = std::max(fetchNs, _cache->access(addr).second);
-            price.checkNs += std::max(0.0, fetchNs - window);
-        }
-
-        // Head-of-ROB reads stall retirement; the two cuckoo-way
-        // probes are issued in parallel (§V-B).
-        double headNs = 0.0;
-        for (uint64_t addr : out.headMemAddrs)
-            headNs = std::max(headNs, _cache->access(addr).second);
-        price.checkNs += headNs;
-
-        if (out.filterRun) {
-            price.checkNs += _filterCopies * _costs.seccompEntryNs +
-                out.filterInsns * _costs.bpfInsnNs;
+        if (out.filterRun)
             price.filterInsns += out.filterInsns;
-            if (out.vatInserted)
-                price.checkNs += _costs.dracoVatInsertNs;
-        }
         break;
       }
     }

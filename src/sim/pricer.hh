@@ -56,6 +56,22 @@ struct EventPrice {
 };
 
 /**
+ * Run one syscall through the Draco hardware engine and price its
+ * check: preload fetches not hidden by the dispatch→head window, the
+ * head-of-ROB table reads, and — on an SLB/STB miss — the Seccomp
+ * filter run plus the VAT insert. The caller applies any cache
+ * pressure first.
+ *
+ * @param robRng Samples the ROB occupancy ahead of the syscall.
+ * @param out Receives the engine's result for the syscall.
+ */
+double hwCheckCostNs(core::DracoHardwareEngine &engine,
+                     CacheHierarchy &cache, Rng &robRng,
+                     const os::SyscallRequest &req,
+                     const os::KernelCosts &costs, unsigned filterCopies,
+                     core::HwSyscallResult &out);
+
+/**
  * One core's checking mechanism, priced event by event.
  */
 class MechanismPricer

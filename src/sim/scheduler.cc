@@ -1,7 +1,6 @@
 #include "sim/scheduler.hh"
 
-#include <algorithm>
-
+#include "sim/pricer.hh"
 #include "support/logging.hh"
 
 namespace draco::sim {
@@ -59,29 +58,10 @@ MultiProcessSimulator::run(
         result.insecureNs += baseNs;
         result.totalNs += baseNs;
 
-        double checkNs = 0.0;
         cache.appPressure(event.bytesTouched);
-        engine.onDispatch(event.req.pc);
-        core::HwSyscallResult out = engine.onRobHead(event.req);
-
-        if (!out.preloadMemAddrs.empty()) {
-            double window =
-                static_cast<double>(robRng.nextRange(16, 127)) / 2.0 * 0.5;
-            double fetchNs = 0.0;
-            for (uint64_t addr : out.preloadMemAddrs)
-                fetchNs = std::max(fetchNs, cache.access(addr).second);
-            checkNs += std::max(0.0, fetchNs - window);
-        }
-        double headNs = 0.0;
-        for (uint64_t addr : out.headMemAddrs)
-            headNs = std::max(headNs, cache.access(addr).second);
-        checkNs += headNs;
-        if (out.filterRun) {
-            checkNs += options.filterCopies * costs.seccompEntryNs +
-                out.filterInsns * costs.bpfInsnNs;
-            if (out.vatInserted)
-                checkNs += costs.dracoVatInsertNs;
-        }
+        core::HwSyscallResult out;
+        double checkNs = hwCheckCostNs(engine, cache, robRng, event.req,
+                                       costs, options.filterCopies, out);
 
         result.totalNs += checkNs;
         quantumUsedNs += baseNs + checkNs;

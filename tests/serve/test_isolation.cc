@@ -107,21 +107,33 @@ TEST(Isolation, FlooderShedsItsOwnTrafficNotTheVictims)
     std::atomic<uint64_t> floodShed{0};
     std::thread floodThread([&] {
         constexpr uint32_t kFloodBatch = 32;
-        std::vector<os::SyscallRequest> reqs(kFloodBatch, readRequest());
+        // Every batch borrows reqs until it completes, which may be
+        // after this thread exits: each completion holds a reference.
+        auto reqs = std::make_shared<const std::vector<os::SyscallRequest>>(
+            kFloodBatch, readRequest());
         while (!stopFlood.load()) {
             auto resps = std::make_shared<
                 std::vector<CheckResponse>>(kFloodBatch);
             auto batch = std::make_shared<Batch>();
             // Keep completion asynchronous: count sheds, drop buffers.
-            batch->onComplete([resps, batch, &floodShed] {
+            batch->onComplete([reqs, resps, batch, &floodShed] {
                 for (const CheckResponse &resp : *resps)
                     if (resp.status == CheckStatus::Overloaded)
                         floodShed.fetch_add(1);
             });
-            service.submitBatch(flooder, reqs.data(), kFloodBatch,
+            service.submitBatch(flooder, reqs->data(), kFloodBatch,
                                 resps->data(), *batch);
         }
     });
+
+    // Start the victim only once the flooder is past its cap, so the
+    // whole victim run is contended; a fast victim could otherwise
+    // finish before the flooder thread was first scheduled.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (floodShed.load() == 0 &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::yield();
 
     QuantileSketch contended = runVictim(service, victim);
     stopFlood.store(true);

@@ -6,8 +6,9 @@
  * churn must return the process to its fd baseline (connections were
  * leaked until shutdown); a peer that vanishes with replies in flight
  * must be reaped, not left a zombie; a half-closed client must still
- * receive every in-flight reply; and the per-tenant verdict
- * fingerprint must be identical over TCP and the Unix socket.
+ * receive every in-flight reply; a Hello from another protocol version
+ * must be refused; and the per-tenant verdict fingerprint must be
+ * identical over TCP and the Unix socket.
  */
 
 #include <gtest/gtest.h>
@@ -27,6 +28,7 @@
 #include "seccomp/profile.hh"
 #include "serve/server.hh"
 #include "serve/service.hh"
+#include "serve/transport.hh"
 #include "serve/wire.hh"
 
 namespace draco::serve {
@@ -306,6 +308,40 @@ TEST(SocketServer, HalfClosedClientReceivesInFlightReplies)
     EXPECT_FALSE(wire::readFrame(client->fd(), payload));
     ASSERT_TRUE(eventually(
         [&] { return server.activeConnections() == 1; }));
+    server.stop();
+    service.stop();
+}
+
+/**
+ * Version gate: a client speaking an older protocol gets no HelloReply
+ * (its frames would not decode as this server's) — the server treats
+ * the Hello as a protocol violation and reaps the connection.
+ */
+TEST(SocketServer, MismatchedHelloVersionIsRefused)
+{
+    const std::string path = socketPath("version");
+    CheckService service;
+    SocketServer server(service, path);
+    ASSERT_TRUE(server.start());
+
+    const int fd = connectEndpoint(Endpoint::unix_(path));
+    ASSERT_GE(fd, 0);
+    wire::Hello hello;
+    hello.version = wire::kProtocolVersion - 1;
+    std::vector<uint8_t> payload;
+    wire::encode(payload, hello);
+    ASSERT_TRUE(wire::writeFrame(fd, payload));
+
+    // EOF instead of a reply frame.
+    EXPECT_FALSE(wire::readFrame(fd, payload));
+    ::close(fd);
+    ASSERT_TRUE(eventually([&] {
+        return server.activeConnections() == 0 &&
+               server.connectionsReaped() == 1;
+    }));
+
+    // The current version still handshakes.
+    EXPECT_NE(SocketClient::connect(path), nullptr);
     server.stop();
     service.stop();
 }

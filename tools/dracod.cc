@@ -24,7 +24,6 @@
 #include "lifecycle/store.hh"
 #include "obs/serveobs.hh"
 #include "obs/tracer.hh"
-#include "os/kernelcosts.hh"
 #include "serve/server.hh"
 #include "serve/service.hh"
 #include "support/cliflags.hh"
@@ -79,8 +78,6 @@ main(int argc, char **argv)
                   "capture requests slower than n microseconds "
                   "(admit to reply-flushed) into the /slowz ring "
                   "(0 = off; needs --metrics-listen)", 0);
-    flags.addFlag("old-kernel",
-                  "price checks with the old-kernel cost preset");
     flags.addCommon();
 
     if (!flags.parse(argc, argv)) {
@@ -100,12 +97,13 @@ main(int argc, char **argv)
         obs::SessionConfig config;
         config.outPath = flags.str("trace-out");
         // The serve tracks carry telemetry channels only; keep the
-        // per-track event ring tiny.
+        // per-track event ring tiny. Their clock counts checked
+        // requests, so --sample-every is in checks per shard.
         config.tracer.recordEvents = false;
         config.tracer.capacity = 1024;
         config.tracer.sampleEveryCycles =
             flags.given("sample-every") ? flags.uintValue("sample-every")
-                                        : 100000;
+                                        : 1000;
         session.configure(config);
     }
 
@@ -117,8 +115,6 @@ main(int argc, char **argv)
         static_cast<uint32_t>(flags.uintValue("max-batch"));
     options.maxTenants =
         static_cast<uint32_t>(flags.uintValue("max-tenants"));
-    options.costs = flags.flag("old-kernel") ? &os::oldKernelCosts()
-                                             : &os::newKernelCosts();
     options.session = session.enabled() ? &session : nullptr;
     options.maxResidentTenants = static_cast<uint32_t>(
         flags.uintValue("max-resident-tenants"));

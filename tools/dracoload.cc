@@ -564,11 +564,12 @@ main(int argc, char **argv)
         if (!flags.str("trace-out").empty()) {
             obs::SessionConfig config;
             config.outPath = flags.str("trace-out");
+            // Serve tracks sample every N checked requests per shard.
             config.tracer.recordEvents = false;
             config.tracer.capacity = 1024;
             config.tracer.sampleEveryCycles =
                 flags.given("sample-every")
-                    ? flags.uintValue("sample-every") : 100000;
+                    ? flags.uintValue("sample-every") : 1000;
             session.configure(config);
         }
         serve::ServiceOptions options;
