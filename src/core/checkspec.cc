@@ -1,5 +1,6 @@
 #include "core/checkspec.hh"
 
+#include <bit>
 #include <cstring>
 
 #include "support/logging.hh"
@@ -74,6 +75,14 @@ ArgKey::ArgKey(uint64_t bitmask, const seccomp::ArgVector &args)
         if (!byteMask)
             continue;
         uint64_t value = args[arg];
+        if (byteMask == 0xff && std::endian::native == std::endian::little) {
+            // A whole argument (every mask deriveCheckSpecs emits):
+            // its little-endian bytes in one copy. At most 8 bytes per
+            // earlier argument precede it, so it always fits.
+            std::memcpy(_bytes + _len, &value, 8);
+            _len += 8;
+            continue;
+        }
         for (unsigned b = 0; b < 8; ++b) {
             if (byteMask & (1u << b)) {
                 if (_len >= kMaxBytes)
@@ -94,13 +103,6 @@ ArgKey::fromBytes(const uint8_t *bytes, unsigned len)
     std::memcpy(key._bytes, bytes, len);
     key._len = static_cast<uint8_t>(len);
     return key;
-}
-
-bool
-ArgKey::operator==(const ArgKey &other) const
-{
-    return _len == other._len &&
-        std::memcmp(_bytes, other._bytes, _len) == 0;
 }
 
 } // namespace draco::core

@@ -15,6 +15,7 @@
 #define DRACO_CORE_CHECKSPEC_HH
 
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <vector>
 
@@ -88,10 +89,16 @@ class ArgKey
     /** @return Number of selected bytes. */
     unsigned size() const { return _len; }
 
-    bool operator==(const ArgKey &other) const;
+    /** A fixed-width compare: bytes past size() are zero in every key. */
+    bool
+    operator==(const ArgKey &other) const
+    {
+        return _len == other._len &&
+            std::memcmp(_bytes, other._bytes, kMaxBytes) == 0;
+    }
 
   private:
-    uint8_t _bytes[kMaxBytes] = {};
+    uint8_t _bytes[kMaxBytes] = {}; ///< Zero past _len.
     uint8_t _len = 0;
 };
 

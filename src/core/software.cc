@@ -1,8 +1,7 @@
 #include "core/software.hh"
 
-#include <algorithm>
-
 #include "hash/crc64.hh"
+#include "os/syscalls.hh"
 #include "support/binio.hh"
 #include "support/logging.hh"
 
@@ -29,9 +28,19 @@ CompiledPolicy::CompiledPolicy(const seccomp::Profile &profile_,
                                seccomp::DispatchShape shape_)
     : profile(profile_), shape(shape_),
       filter(seccomp::buildFilterChain(profile_, shape_)),
-      specs(deriveCheckSpecs(profile_)),
+      specs(deriveCheckSpecs(profile_)), spt(os::syscallIdBound()),
       programKey(filterProgramKey(filter))
 {
+    // Argument-checking syscalls take dense VAT slots in ascending sid
+    // order, the order DracoSoftwareChecker configures its VAT in.
+    uint16_t slot = 0;
+    for (const auto &[sid, spec] : specs) {
+        SptEntry &entry = spt.at(sid);
+        entry.valid = true;
+        entry.bitmask = spec.bitmask;
+        if (spec.checksArguments())
+            entry.vatSlot = slot++;
+    }
 }
 
 std::shared_ptr<const CompiledPolicy>
@@ -58,7 +67,8 @@ DracoSoftwareChecker::DracoSoftwareChecker(
     if (filter_copies == 0)
         fatal("DracoSoftwareChecker: need at least one filter copy");
     // The OS sizes one VAT table per argument-checking syscall from the
-    // profile's estimated set counts (§VII-A).
+    // profile's estimated set counts (§VII-A). Ascending sid order makes
+    // each table's VAT slot the one the policy's SPT entry names.
     for (const auto &[sid, spec] : _policy->specs)
         if (spec.checksArguments())
             _vat.configure(sid, spec.bitmask, spec.estimatedSets);
@@ -121,8 +131,8 @@ DracoSoftwareChecker::check(const os::SyscallRequest &req)
         return o;
     };
 
-    auto it = _policy->specs.find(req.sid);
-    if (it == _policy->specs.end()) {
+    const SptEntry &entry = _policy->sptEntry(req.sid);
+    if (!entry.valid) {
         // SPT Valid bit clear: nothing cached can help; the filter
         // decides (and, for whitelist profiles, denies).
         bool allowed = runFilter();
@@ -133,21 +143,18 @@ DracoSoftwareChecker::check(const os::SyscallRequest &req)
         return traced(out);
     }
 
-    const CheckSpec &spec = it->second;
-    if (!spec.checksArguments()) {
+    if (entry.bitmask == 0) {
         ++_stats.sptAllowAll;
         out.allowed = true;
         out.path = SwPath::SptAllowAll;
         return traced(out);
     }
 
-    seccomp::ArgVector args;
-    std::copy(req.args.begin(), req.args.end(), args.begin());
-    ArgKey key(spec.bitmask, args);
+    ArgKey key(entry.bitmask, req.args);
     out.hashedBytes = key.size();
     out.vatProbes = 2;
 
-    if (_vat.lookup(req.sid, key)) {
+    if (_vat.probeSlot(entry.vatSlot, key)) {
         ++_stats.vatHits;
         out.allowed = true;
         out.path = SwPath::VatHit;
@@ -158,7 +165,7 @@ DracoSoftwareChecker::check(const os::SyscallRequest &req)
     out.allowed = allowed;
     if (allowed) {
         out.vatInserted = true;
-        out.vatEvicted = _vat.insert(req.sid, key);
+        out.vatEvicted = _vat.insertSlot(entry.vatSlot, key);
         ++_stats.vatInsertions;
         out.path = SwPath::FilterAllowed;
     } else {

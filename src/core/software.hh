@@ -9,6 +9,12 @@
  * success — caches the validated set in the VAT. Profiles are
  * stateless, so a past validation never needs repeating (§V).
  *
+ * The SPT is the paper's layout (§V-B): a flat array indexed by syscall
+ * id, built once per CompiledPolicy and shared by all its tenants. An
+ * entry holds the Valid bit, the Argument Bitmask and the dense slot of
+ * the syscall's VAT table (the paper's `Base`), so a warm check is one
+ * array read, one key extraction and one cuckoo probe — no map walk.
+ *
  * The checker reports *what happened* (paths, probes, hashed bytes,
  * executed filter instructions) and never what it would cost: pricing
  * those events in modeled kernel nanoseconds is the simulator's job
@@ -21,6 +27,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <vector>
 
 #include "core/checkspec.hh"
 #include "core/vat.hh"
@@ -63,6 +70,13 @@ struct SwCheckStats {
 void exportStats(const SwCheckStats &stats, MetricRegistry &registry,
                  const std::string &prefix);
 
+/** One SPT entry (§V-B): what a check needs for one syscall id. */
+struct SptEntry {
+    uint64_t bitmask = 0;  ///< Argument Bitmask; 0 = ID-only.
+    uint16_t vatSlot = 0;  ///< Dense VAT slot when bitmask != 0.
+    bool valid = false;    ///< Valid bit: the profile allows the sid.
+};
+
 /**
  * The immutable, shareable compile of one profile: the policy itself,
  * its compiled fallback filter chain, and the derived per-syscall
@@ -82,10 +96,20 @@ struct CompiledPolicy {
     seccomp::DispatchShape shape;
     seccomp::FilterChain filter;
     std::map<uint16_t, CheckSpec> specs;
+    /** Indexed by sid below os::syscallIdBound(); see SptEntry. */
+    std::vector<SptEntry> spt;
     uint64_t programKey = 0;
 
     CompiledPolicy(const seccomp::Profile &profile_,
                    seccomp::DispatchShape shape_);
+
+    /** @return @p sid's SPT entry; a clear Valid bit when out of range. */
+    const SptEntry &
+    sptEntry(uint16_t sid) const
+    {
+        static const SptEntry kInvalid;
+        return sid < spt.size() ? spt[sid] : kInvalid;
+    }
 
     /** Compile @p profile into a shareable policy. */
     static std::shared_ptr<const CompiledPolicy> compile(

@@ -1,7 +1,9 @@
 #include "core/vat.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
+#include <utility>
 
 #include "hash/crc64.hh"
 #include "support/logging.hh"
@@ -23,6 +25,11 @@ allocateVatRegion(uint64_t bytes)
     return g_nextVatBase.fetch_add(pages, std::memory_order_relaxed);
 }
 
+/** lower_bound order of the sid-sorted table vector. */
+constexpr auto kSidBelow = [](const auto &table, uint16_t sid) {
+    return table.sid < sid;
+};
+
 } // namespace
 
 uint64_t
@@ -42,27 +49,40 @@ Vat::configure(uint16_t sid, uint64_t bitmask, size_t estimated_sets)
         fatal("Vat::configure: sid %u has no checked bytes", sid);
 
     size_t buckets = std::bit_ceil(std::max<size_t>(2, estimated_sets));
-
-    Table table;
-    table.bitmask = bitmask;
     unsigned keyBytes = static_cast<unsigned>(std::popcount(bitmask));
     // One entry: stored key rounded to 8 bytes, plus valid/metadata word.
-    table.entryBytes = ((keyBytes + 7) / 8) * 8 + 8;
-    table.baseAddr = allocateVatRegion(2 * buckets * table.entryBytes);
+    size_t entryBytes = ((keyBytes + 7) / 8) * 8 + 8;
+    Table table{sid, bitmask, allocateVatRegion(2 * buckets * entryBytes),
+                entryBytes, VatCuckoo(buckets)};
 
-    table.cuckoo = std::make_unique<CuckooTable<ArgKey>>(
-        buckets,
-        [](const ArgKey &k) { return vatHash(CuckooWay::H1, k); },
-        [](const ArgKey &k) { return vatHash(CuckooWay::H2, k); });
-
-    _tables[sid] = std::move(table);
+    auto it = std::lower_bound(_tables.begin(), _tables.end(), sid,
+                               kSidBelow);
+    if (it != _tables.end() && it->sid == sid)
+        *it = std::move(table);
+    else
+        _tables.insert(it, std::move(table));
 }
 
 const Vat::Table *
 Vat::tableFor(uint16_t sid) const
 {
-    auto it = _tables.find(sid);
-    return it == _tables.end() ? nullptr : &it->second;
+    auto it = std::lower_bound(_tables.begin(), _tables.end(), sid,
+                               kSidBelow);
+    return it != _tables.end() && it->sid == sid ? &*it : nullptr;
+}
+
+Vat::Table *
+Vat::tableFor(uint16_t sid)
+{
+    return const_cast<Table *>(std::as_const(*this).tableFor(sid));
+}
+
+uint64_t
+Vat::Table::address(const VatToken &token) const
+{
+    uint64_t slot = static_cast<uint64_t>(token.way) * cuckoo.buckets() +
+                    cuckoo.indexOf(token.hash);
+    return baseAddr + slot * entryBytes;
 }
 
 bool
@@ -84,32 +104,39 @@ Vat::lookup(uint16_t sid, const ArgKey &key) const
     const Table *table = tableFor(sid);
     if (!table)
         return std::nullopt;
-    auto found = table->cuckoo->lookup(key);
+    auto found = table->cuckoo.lookup(key);
     if (!found)
         return std::nullopt;
     VatHit hit;
     hit.token = VatToken{found->way, found->hash};
-    hit.address = entryAddress(sid, hit.token);
+    hit.address = table->address(hit.token);
     return hit;
 }
 
 bool
 Vat::insert(uint16_t sid, const ArgKey &key)
 {
-    auto it = _tables.find(sid);
-    if (it == _tables.end())
+    const Table *table = tableFor(sid);
+    if (!table)
         panic("Vat::insert: sid %u not configured", sid);
+    return insertSlot(static_cast<size_t>(table - _tables.data()), key);
+}
+
+bool
+Vat::insertSlot(size_t slot, const ArgKey &key)
+{
+    Table &table = _tables[slot];
     ArgKey victim;
-    uint64_t before = it->second.cuckoo->stats().displacements;
-    auto result = it->second.cuckoo->insert(key, &victim);
+    uint64_t before = table.cuckoo.stats().displacements;
+    auto result = table.cuckoo.insert(key, &victim);
     if (_tracer) {
-        _tracer->record(obs::EventKind::VatInsert, sid, 0, 0,
-                        it->second.cuckoo->stats().displacements - before);
+        _tracer->record(obs::EventKind::VatInsert, table.sid, 0, 0,
+                        table.cuckoo.stats().displacements - before);
     }
     if (result == CuckooInsert::EvictedVictim) {
         ++_evictions;
         if (_tracer)
-            _tracer->record(obs::EventKind::VatEvict, sid);
+            _tracer->record(obs::EventKind::VatEvict, table.sid);
         return true;
     }
     return false;
@@ -119,29 +146,25 @@ bool
 Vat::placeAt(uint16_t sid, CuckooWay way, uint64_t index,
              const ArgKey &key)
 {
-    auto it = _tables.find(sid);
-    if (it == _tables.end())
-        return false;
-    return it->second.cuckoo->placeAt(way, index, key);
+    Table *table = tableFor(sid);
+    return table && table->cuckoo.placeAt(way, index, key);
 }
 
 bool
 Vat::restoreTableStats(uint16_t sid, const CuckooStats &stats)
 {
-    auto it = _tables.find(sid);
-    if (it == _tables.end())
+    Table *table = tableFor(sid);
+    if (!table)
         return false;
-    it->second.cuckoo->restoreStats(stats);
+    table->cuckoo.restoreStats(stats);
     return true;
 }
 
 bool
 Vat::erase(uint16_t sid, const ArgKey &key)
 {
-    auto it = _tables.find(sid);
-    if (it == _tables.end())
-        return false;
-    return it->second.cuckoo->erase(key);
+    Table *table = tableFor(sid);
+    return table && table->cuckoo.erase(key);
 }
 
 std::optional<ArgKey>
@@ -150,7 +173,7 @@ Vat::slotContents(uint16_t sid, const VatToken &token) const
     const Table *table = tableFor(sid);
     if (!table)
         return std::nullopt;
-    const ArgKey *stored = table->cuckoo->at(token.way, token.hash);
+    const ArgKey *stored = table->cuckoo.at(token.way, token.hash);
     if (!stored)
         return std::nullopt;
     return *stored;
@@ -162,18 +185,15 @@ Vat::entryAddress(uint16_t sid, const VatToken &token) const
     const Table *table = tableFor(sid);
     if (!table)
         panic("Vat::entryAddress: sid %u not configured", sid);
-    uint64_t buckets = table->cuckoo->buckets();
-    uint64_t slot =
-        static_cast<uint64_t>(token.way) * buckets + token.hash % buckets;
-    return table->baseAddr + slot * table->entryBytes;
+    return table->address(token);
 }
 
 size_t
 Vat::footprintBytes() const
 {
     size_t total = 0;
-    for (const auto &[sid, table] : _tables)
-        total += table.cuckoo->capacity() * table.entryBytes;
+    for (const Table &table : _tables)
+        total += table.cuckoo.capacity() * table.entryBytes;
     return total;
 }
 
@@ -181,7 +201,7 @@ size_t
 Vat::setCount(uint16_t sid) const
 {
     const Table *table = tableFor(sid);
-    return table ? table->cuckoo->size() : 0;
+    return table ? table->cuckoo.size() : 0;
 }
 
 void
@@ -191,15 +211,15 @@ Vat::exportMetrics(MetricRegistry &registry,
     CuckooStats total;
     size_t sets = 0;
     size_t capacity = 0;
-    for (const auto &[sid, table] : _tables) {
-        const CuckooStats &s = table.cuckoo->stats();
+    for (const Table &table : _tables) {
+        const CuckooStats &s = table.cuckoo.stats();
         total.lookups += s.lookups;
         total.hits += s.hits;
         total.insertions += s.insertions;
         total.displacements += s.displacements;
         total.evictions += s.evictions;
-        sets += table.cuckoo->size();
-        capacity += table.cuckoo->capacity();
+        sets += table.cuckoo.size();
+        capacity += table.cuckoo.capacity();
     }
 
     auto name = [&](const char *metric) {

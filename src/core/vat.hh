@@ -11,15 +11,21 @@
  * *location* (base + hash) when preloading the SLB. Tables are sized at
  * twice the estimated argument-set count, and a bounded displacement
  * chain on insert evicts one entry when full.
+ *
+ * Layout: the tables form one dense vector in ascending sid order, so
+ * slot i holds the i-th argument-checking syscall of the policy the VAT
+ * was configured from. The software check reaches its table by that
+ * slot, which the SPT entry carries (the paper's SPT `Base`, §V-B);
+ * the sid-keyed API finds the slot by binary search and serves the
+ * hardware engine, snapshots and tests.
  */
 
 #ifndef DRACO_CORE_VAT_HH
 #define DRACO_CORE_VAT_HH
 
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <optional>
+#include <vector>
 
 #include "core/checkspec.hh"
 #include "hash/cuckoo.hh"
@@ -44,6 +50,21 @@ struct VatHit {
     uint64_t address = 0; ///< Memory address of the entry (for timing).
 };
 
+/** @return CRC-64 over the key bytes for @p way. */
+uint64_t vatHash(CuckooWay way, const ArgKey &key);
+
+/** The VAT's stateless cuckoo hasher: vatHash per way. */
+struct VatHasher {
+    uint64_t
+    operator()(CuckooWay way, const ArgKey &key) const
+    {
+        return vatHash(way, key);
+    }
+};
+
+/** One per-syscall VAT table. */
+using VatCuckoo = CuckooTable<ArgKey, VatHasher>;
+
 /**
  * Per-process Validated Argument Table.
  */
@@ -61,6 +82,9 @@ class Vat
      * @param estimated_sets Estimated distinct argument sets; the table
      *        is over-provisioned to twice this (rounded up to a power
      *        of two per way).
+     *
+     * A new sid takes the dense slot of its rank in ascending sid
+     * order, moving every later table up one slot.
      */
     void configure(uint16_t sid, uint64_t bitmask, size_t estimated_sets);
 
@@ -83,6 +107,22 @@ class Vat
      * @return true if an existing victim was evicted to make room.
      */
     bool insert(uint16_t sid, const ArgKey &key);
+
+    /**
+     * The software check's hit path: probe the table at dense @p slot
+     * (see the file comment) without building a VatHit. Counts the
+     * same lookups/hits as lookup().
+     *
+     * @return true when the set has been validated.
+     */
+    bool
+    probeSlot(size_t slot, const ArgKey &key) const
+    {
+        return _tables[slot].cuckoo.lookup(key).has_value();
+    }
+
+    /** insert() into the table at dense @p slot. */
+    bool insertSlot(size_t slot, const ArgKey &key);
 
     /** Remove one validated set (used by tests and eviction studies). */
     bool erase(uint16_t sid, const ArgKey &key);
@@ -123,8 +163,8 @@ class Vat
     void
     forEachTable(Fn &&fn) const
     {
-        for (const auto &[sid, table] : _tables)
-            fn(sid, table.bitmask, *table.cuckoo);
+        for (const Table &table : _tables)
+            fn(table.sid, table.bitmask, table.cuckoo);
     }
 
     /**
@@ -165,21 +205,24 @@ class Vat
 
   private:
     struct Table {
+        uint16_t sid = 0;
         uint64_t bitmask = 0;
         uint64_t baseAddr = 0;
         size_t entryBytes = 0;
-        std::unique_ptr<CuckooTable<ArgKey>> cuckoo;
+        VatCuckoo cuckoo;
+
+        /** @return Memory address of the slot @p token points at. */
+        uint64_t address(const VatToken &token) const;
     };
 
+    /** @return @p sid's table, or nullptr when unconfigured. */
     const Table *tableFor(uint16_t sid) const;
+    Table *tableFor(uint16_t sid);
 
-    std::map<uint16_t, Table> _tables;
+    std::vector<Table> _tables; ///< Ascending sid order.
     uint64_t _evictions = 0;
     obs::Tracer *_tracer = nullptr;
 };
-
-/** @return CRC-64 over the key bytes for @p way. */
-uint64_t vatHash(CuckooWay way, const ArgKey &key);
 
 } // namespace draco::core
 

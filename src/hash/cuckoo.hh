@@ -8,11 +8,18 @@
  * displacement. On insert, if the displacement chain exceeds a threshold,
  * one entry is evicted to make room (the paper's "OS makes room by
  * evicting one entry").
+ *
+ * The two hash functions are one callable type parameter, invoked as
+ * `hasher(way, key)`: the VAT passes a stateless hasher, so a probe
+ * inlines down to the CRC calls, while FunctionHasher (the default)
+ * keeps the two-std::function form for tests and ad-hoc tables.
+ * Power-of-two tables index with a mask, other sizes by modulo.
  */
 
 #ifndef DRACO_HASH_CUCKOO_HH
 #define DRACO_HASH_CUCKOO_HH
 
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -37,6 +44,19 @@ enum class CuckooInsert {
     EvictedVictim,  ///< Key stored, but another key was evicted for room.
 };
 
+/** Two per-way std::function hashes behind the (way, key) interface. */
+template <typename Key>
+struct FunctionHasher {
+    std::function<uint64_t(const Key &)> h1;
+    std::function<uint64_t(const Key &)> h2;
+
+    uint64_t
+    operator()(CuckooWay way, const Key &key) const
+    {
+        return way == CuckooWay::H1 ? h1(key) : h2(key);
+    }
+};
+
 /** Statistics describing a table's dynamic behaviour. */
 struct CuckooStats {
     uint64_t lookups = 0;
@@ -50,18 +70,19 @@ struct CuckooStats {
  * Fixed-capacity two-way cuckoo hash set.
  *
  * @tparam Key Stored key type (must be equality comparable).
+ * @tparam Hasher Callable `uint64_t(CuckooWay, const Key &)` giving each
+ *         way's hash value.
  *
- * Each way holds `buckets` slots; a key lives either at `h1(key) %
- * buckets` in way 0 or `h2(key) % buckets` in way 1. The two hash values
- * are supplied by caller-provided functions so the owner (the VAT) can use
- * CRC-64 ECMA / ¬ECMA over the masked argument bytes.
+ * Each way holds `buckets` slots; a key lives either at index
+ * `hasher(H1, key)` of way 0 or `hasher(H2, key)` of way 1, reduced to
+ * the bucket count (a mask when it is a power of two, else a modulo).
+ * The owner (the VAT) hashes with CRC-64 ECMA / ¬ECMA over the masked
+ * argument bytes.
  */
-template <typename Key>
+template <typename Key, typename Hasher = FunctionHasher<Key>>
 class CuckooTable
 {
   public:
-    using HashFn = std::function<uint64_t(const Key &)>;
-
     /** Result of a successful lookup. */
     struct Found {
         CuckooWay way;   ///< Which hash function located the key.
@@ -71,19 +92,18 @@ class CuckooTable
 
     /**
      * @param buckets Number of slots per way (total capacity 2×buckets).
-     * @param h1 First hash function.
-     * @param h2 Second hash function.
+     * @param hasher The two hash functions.
      * @param max_displacements Displacement-chain bound before eviction.
      */
-    CuckooTable(size_t buckets, HashFn h1, HashFn h2,
-                unsigned max_displacements = 16)
-        : _h1(std::move(h1)), _h2(std::move(h2)),
-          _maxDisplacements(max_displacements)
+    explicit CuckooTable(size_t buckets, Hasher hasher = Hasher{},
+                         unsigned max_displacements = 16)
+        : _hasher(std::move(hasher)), _maxDisplacements(max_displacements),
+          _buckets(buckets),
+          _mask(std::has_single_bit(buckets) ? buckets - 1 : 0)
     {
         if (buckets == 0)
             fatal("CuckooTable: bucket count must be > 0");
-        _ways[0].assign(buckets, Slot{});
-        _ways[1].assign(buckets, Slot{});
+        _slots.assign(2 * buckets, Slot{});
     }
 
     /**
@@ -125,8 +145,7 @@ class CuckooTable
 
         // Prefer a free slot in either way before displacing anyone.
         for (unsigned w = 0; w < 2; ++w) {
-            uint64_t hv = w == 0 ? _h1(key) : _h2(key);
-            Slot &slot = _ways[w][hv % buckets()];
+            Slot &slot = slotFor(static_cast<CuckooWay>(w), key);
             if (!slot.occupied) {
                 slot.occupied = true;
                 slot.key = key;
@@ -138,8 +157,7 @@ class CuckooTable
         Key pending = key;
         unsigned way = 0;
         for (unsigned step = 0; step < _maxDisplacements; ++step) {
-            uint64_t hv = way == 0 ? _h1(pending) : _h2(pending);
-            Slot &slot = _ways[way][hv % buckets()];
+            Slot &slot = slotFor(static_cast<CuckooWay>(way), pending);
             if (!slot.occupied) {
                 slot.occupied = true;
                 slot.key = pending;
@@ -168,7 +186,7 @@ class CuckooTable
         auto found = lookup(key);
         if (!found)
             return false;
-        Slot &slot = _ways[static_cast<size_t>(found->way)][found->index];
+        Slot &slot = _slots[slotNumber(found->way, found->index)];
         slot.occupied = false;
         slot.key = Key{};
         --_size;
@@ -179,9 +197,8 @@ class CuckooTable
     void
     clear()
     {
-        for (auto &way : _ways)
-            for (auto &slot : way)
-                slot = Slot{};
+        for (auto &slot : _slots)
+            slot = Slot{};
         _size = 0;
     }
 
@@ -194,7 +211,7 @@ class CuckooTable
     const Key *
     at(CuckooWay way, uint64_t index) const
     {
-        const Slot &slot = _ways[static_cast<size_t>(way)][index % buckets()];
+        const Slot &slot = _slots[slotNumber(way, indexOf(index))];
         return slot.occupied ? &slot.key : nullptr;
     }
 
@@ -203,10 +220,9 @@ class CuckooTable
     void
     forEach(Fn &&fn) const
     {
-        for (const auto &way : _ways)
-            for (const auto &slot : way)
-                if (slot.occupied)
-                    fn(slot.key);
+        for (const auto &slot : _slots)
+            if (slot.occupied)
+                fn(slot.key);
     }
 
     /**
@@ -218,11 +234,10 @@ class CuckooTable
     void
     forEachSlot(Fn &&fn) const
     {
-        for (unsigned w = 0; w < 2; ++w)
-            for (size_t i = 0; i < _ways[w].size(); ++i)
-                if (_ways[w][i].occupied)
-                    fn(static_cast<CuckooWay>(w),
-                       static_cast<uint64_t>(i), _ways[w][i].key);
+        for (size_t n = 0; n < _slots.size(); ++n)
+            if (_slots[n].occupied)
+                fn(static_cast<CuckooWay>(n / _buckets),
+                   static_cast<uint64_t>(n % _buckets), _slots[n].key);
     }
 
     /**
@@ -239,7 +254,7 @@ class CuckooTable
     {
         if (index >= buckets())
             return false;
-        Slot &slot = _ways[static_cast<size_t>(way)][index];
+        Slot &slot = _slots[slotNumber(way, index)];
         if (slot.occupied)
             return false;
         slot.occupied = true;
@@ -251,11 +266,18 @@ class CuckooTable
     /** Replace the behaviour counters (snapshot restore). */
     void restoreStats(const CuckooStats &stats) { _stats = stats; }
 
+    /** @return The slot index within a way that hash value @p hash selects. */
+    uint64_t
+    indexOf(uint64_t hash) const
+    {
+        return _mask ? hash & _mask : hash % _buckets;
+    }
+
     /** @return Number of stored keys. */
     size_t size() const { return _size; }
 
     /** @return Slots per way. */
-    size_t buckets() const { return _ways[0].size(); }
+    size_t buckets() const { return _buckets; }
 
     /** @return Total slot capacity (2 × buckets). */
     size_t capacity() const { return 2 * buckets(); }
@@ -292,27 +314,45 @@ class CuckooTable
         Key key{};
     };
 
-    /** Stat-free presence probe shared by lookup() and insert(). */
+    /** @return Position of (way, index) in the way-major slot array. */
+    size_t
+    slotNumber(CuckooWay way, uint64_t index) const
+    {
+        return static_cast<size_t>(way) * _buckets + index;
+    }
+
+    /** @return The slot @p key hashes to in @p way. */
+    Slot &
+    slotFor(CuckooWay way, const Key &key)
+    {
+        return _slots[slotNumber(way, indexOf(_hasher(way, key)))];
+    }
+
+    /**
+     * Stat-free presence probe shared by lookup() and insert(); H2 is
+     * computed only when the H1 slot misses.
+     */
     std::optional<Found>
     probe(const Key &key) const
     {
-        uint64_t hv1 = _h1(key);
-        uint64_t idx1 = hv1 % buckets();
-        const Slot &s1 = _ways[0][idx1];
+        uint64_t hv1 = _hasher(CuckooWay::H1, key);
+        uint64_t idx1 = indexOf(hv1);
+        const Slot &s1 = _slots[idx1];
         if (s1.occupied && s1.key == key)
             return Found{CuckooWay::H1, hv1, idx1};
-        uint64_t hv2 = _h2(key);
-        uint64_t idx2 = hv2 % buckets();
-        const Slot &s2 = _ways[1][idx2];
+        uint64_t hv2 = _hasher(CuckooWay::H2, key);
+        uint64_t idx2 = indexOf(hv2);
+        const Slot &s2 = _slots[slotNumber(CuckooWay::H2, idx2)];
         if (s2.occupied && s2.key == key)
             return Found{CuckooWay::H2, hv2, idx2};
         return std::nullopt;
     }
 
-    HashFn _h1;
-    HashFn _h2;
+    [[no_unique_address]] Hasher _hasher;
     unsigned _maxDisplacements;
-    std::vector<Slot> _ways[2];
+    size_t _buckets;
+    uint64_t _mask; ///< buckets - 1 for power-of-two sizes, else 0.
+    std::vector<Slot> _slots; ///< Way 0's buckets, then way 1's.
     size_t _size = 0;
     mutable CuckooStats _stats;
 };

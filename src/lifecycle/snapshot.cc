@@ -151,7 +151,7 @@ encodeSnapshot(const std::string &tenant,
 
     uint64_t tables = 0;
     vat.forEachTable([&](uint16_t sid, uint64_t bitmask,
-                         const CuckooTable<core::ArgKey> &cuckoo) {
+                         const core::VatCuckoo &cuckoo) {
         std::vector<uint8_t> body;
         binio::putVarint(body, sid);
         binio::putU64(body, bitmask);
@@ -403,7 +403,7 @@ restoreSnapshot(const std::vector<uint8_t> &bytes,
                                          std::to_string(sid));
         uint64_t buckets = 0;
         vat.forEachTable([&](uint16_t tsid, uint64_t,
-                             const CuckooTable<core::ArgKey> &cuckoo) {
+                             const core::VatCuckoo &cuckoo) {
             if (tsid == sid)
                 buckets = cuckoo.buckets();
         });

@@ -410,7 +410,8 @@ SocketServer::readInput(Loop &loop, Conn *conn,
         if (r > 0) {
             conn->parser.append(chunk.data(), static_cast<size_t>(r));
             if (!parseFrames(loop, conn)) {
-                beginDrain(loop, conn, false);
+                // Protocol violation: drain discarding (DESIGN.md §11).
+                beginDrain(loop, conn, true);
                 break;
             }
             if (static_cast<size_t>(r) < chunk.size())
@@ -786,7 +787,9 @@ SocketServer::handleFrame(Loop &loop, Conn *conn,
         wire::encodeShutdownReply(reply);
         sendControl(loop, conn, reply);
         requestStop();
-        return false;
+        // Not a violation: stop reading, but flush the reply.
+        beginDrain(loop, conn, false);
+        return true;
       }
       default:
         warn("dracod: unexpected frame type %u, closing connection",

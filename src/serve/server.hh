@@ -210,6 +210,7 @@ class SocketServer
     void handleHttp(Loop &loop, Conn *conn);
     std::string metricsBody() const;
     std::string statzBody() const;
+    /** @return false on a protocol violation (the caller discards). */
     bool parseFrames(Loop &loop, Conn *conn);
     bool handleFrame(Loop &loop, Conn *conn,
                      const std::vector<uint8_t> &payload);

@@ -81,6 +81,21 @@ TEST(DracoSw, DisallowedSyscallDenied)
     EXPECT_GT(out.filterInsns, 0u);
 }
 
+TEST(DracoSw, OutOfRangeSidTakesTheFilter)
+{
+    // A forged id past the SPT (e.g. off the wire) reads as a clear
+    // Valid bit: the whitelist filter denies it, nothing is cached.
+    DracoSoftwareChecker draco(readProfile());
+    for (uint16_t sid : {os::syscallIdBound(), uint16_t{0xffff}}) {
+        auto out = draco.check(request(sid, {3, 0, 64}));
+        EXPECT_FALSE(out.allowed) << sid;
+        EXPECT_EQ(out.path, SwPath::FilterDenied) << sid;
+        EXPECT_EQ(out.vatProbes, 0u);
+        EXPECT_GT(out.filterInsns, 0u);
+    }
+    EXPECT_EQ(draco.stats().denials, 2u);
+}
+
 TEST(DracoSw, StatsAccumulate)
 {
     DracoSoftwareChecker draco(readProfile());

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+#include <vector>
+
 #include "core/vat.hh"
 #include "hash/crc64.hh"
 #include "support/random.hh"
@@ -198,6 +202,137 @@ TEST(Vat, RandomizedInsertLookupProperty)
     EXPECT_EQ(vat.evictions(), 0u);
     for (const auto &key : keys)
         EXPECT_TRUE(vat.lookup(0, key).has_value());
+}
+
+TEST(Vat, ProbeSlotAgreesWithLookupAndCountsTheSame)
+{
+    // RandomizedInsertLookupProperty's inputs plus as many misses: the
+    // software check's slot probe must answer what lookup() answers
+    // and leave identical cuckoo counters.
+    Vat byLookup;
+    Vat byProbe;
+    byLookup.configure(0, kReadMask, 256);
+    byProbe.configure(0, kReadMask, 256);
+    Rng rng(77);
+    std::vector<ArgKey> keys;
+    for (int i = 0; i < 128; ++i) {
+        ArgKey key = keyOf(kReadMask, rng.nextBelow(1 << 20),
+                           rng.nextBelow(1 << 16));
+        byLookup.insert(0, key);
+        byProbe.insertSlot(0, key);
+        keys.push_back(key);
+    }
+    for (int i = 0; i < 128; ++i)
+        keys.push_back(keyOf(kReadMask, (1 << 20) + rng.nextBelow(1 << 20),
+                             rng.nextBelow(1 << 16)));
+    size_t hits = 0;
+    for (const auto &key : keys) {
+        bool hit = byLookup.lookup(0, key).has_value();
+        EXPECT_EQ(byProbe.probeSlot(0, key), hit);
+        hits += hit;
+    }
+    EXPECT_EQ(hits, 128u);
+
+    std::vector<CuckooStats> stats;
+    for (const Vat *vat : {&byLookup, &byProbe})
+        vat->forEachTable([&](uint16_t, uint64_t, const VatCuckoo &t) {
+            stats.push_back(t.stats());
+        });
+    ASSERT_EQ(stats.size(), 2u);
+    EXPECT_EQ(stats[0].lookups, 256u);
+    EXPECT_EQ(stats[0].hits, 128u);
+    EXPECT_EQ(stats[1].lookups, stats[0].lookups);
+    EXPECT_EQ(stats[1].hits, stats[0].hits);
+    EXPECT_EQ(stats[1].insertions, stats[0].insertions);
+    EXPECT_EQ(stats[1].displacements, stats[0].displacements);
+}
+
+TEST(Vat, SlotsFollowAscendingSid)
+{
+    // Configured out of order, the tables still take dense slots in
+    // ascending sid order; the sid-keyed API finds each one.
+    Vat vat;
+    vat.configure(9, kReadMask, 4);
+    vat.configure(2, kReadMask, 4);
+    vat.configure(5, kReadMask, 4);
+    std::vector<uint16_t> order;
+    vat.forEachTable([&](uint16_t sid, uint64_t, const VatCuckoo &) {
+        order.push_back(sid);
+    });
+    EXPECT_EQ(order, (std::vector<uint16_t>{2, 5, 9}));
+
+    ArgKey key = keyOf(kReadMask, 3, 64);
+    vat.insert(5, key);
+    EXPECT_TRUE(vat.probeSlot(1, key));
+    EXPECT_FALSE(vat.probeSlot(0, key));
+    EXPECT_FALSE(vat.probeSlot(2, key));
+    vat.insertSlot(2, key);
+    EXPECT_TRUE(vat.lookup(9, key).has_value());
+    EXPECT_EQ(vat.setCount(2), 0u);
+}
+
+/**
+ * The VAT's stateless hasher and the std::function form of the same
+ * hashes must drive a table identically: same layout, counters and
+ * eviction victims over a seeded insert/lookup/erase sequence that
+ * overfills the table.
+ */
+TEST(Vat, StaticAndFunctionHashersAgree)
+{
+    VatCuckoo fast(16, VatHasher{}, 8);
+    CuckooTable<ArgKey> slow(
+        16,
+        {[](const ArgKey &k) { return vatHash(CuckooWay::H1, k); },
+         [](const ArgKey &k) { return vatHash(CuckooWay::H2, k); }},
+        8);
+    Rng rng(41);
+    for (int op = 0; op < 4000; ++op) {
+        ArgKey key = keyOf(kReadMask, rng.nextBelow(64), rng.nextBelow(4));
+        switch (rng.nextBelow(3)) {
+          case 0: {
+            ArgKey fastVictim, slowVictim;
+            ASSERT_EQ(fast.insert(key, &fastVictim),
+                      slow.insert(key, &slowVictim));
+            ASSERT_EQ(fastVictim, slowVictim);
+            break;
+          }
+          case 1: {
+            auto a = fast.lookup(key);
+            auto b = slow.lookup(key);
+            ASSERT_EQ(a.has_value(), b.has_value());
+            if (a) {
+                EXPECT_EQ(a->way, b->way);
+                EXPECT_EQ(a->hash, b->hash);
+                EXPECT_EQ(a->index, b->index);
+            }
+            break;
+          }
+          default:
+            ASSERT_EQ(fast.erase(key), slow.erase(key));
+            break;
+        }
+    }
+    EXPECT_GT(fast.stats().evictions, 0u);
+    EXPECT_EQ(fast.stats().lookups, slow.stats().lookups);
+    EXPECT_EQ(fast.stats().hits, slow.stats().hits);
+    EXPECT_EQ(fast.stats().insertions, slow.stats().insertions);
+    EXPECT_EQ(fast.stats().displacements, slow.stats().displacements);
+    EXPECT_EQ(fast.stats().evictions, slow.stats().evictions);
+    EXPECT_EQ(fast.size(), slow.size());
+
+    using Placed = std::tuple<CuckooWay, uint64_t, std::string>;
+    auto layout = [](const auto &table) {
+        std::vector<Placed> out;
+        table.forEachSlot([&](CuckooWay way, uint64_t index,
+                              const ArgKey &key) {
+            out.emplace_back(way, index,
+                             std::string(reinterpret_cast<const char *>(
+                                             key.data()),
+                                         key.size()));
+        });
+        return out;
+    };
+    EXPECT_EQ(layout(fast), layout(slow));
 }
 
 TEST(VatDeathTest, ConfigureWithoutBitmaskIsFatal)

@@ -21,12 +21,12 @@ makeTable(size_t buckets, unsigned maxDisp = 16)
     // Diffused CRCs, exactly as the VAT indexes (see mix64).
     return CuckooTable<uint64_t>(
         buckets,
-        [](const uint64_t &k) {
-            return mix64(crc64Ecma().compute(&k, 8));
-        },
-        [](const uint64_t &k) {
-            return mix64(crc64NotEcma().compute(&k, 8));
-        },
+        {[](const uint64_t &k) {
+             return mix64(crc64Ecma().compute(&k, 8));
+         },
+         [](const uint64_t &k) {
+             return mix64(crc64NotEcma().compute(&k, 8));
+         }},
         maxDisp);
 }
 
@@ -82,6 +82,32 @@ TEST(Cuckoo, LookupReportsWayAndHash)
     else
         EXPECT_EQ(found->hash, mix64(crc64NotEcma().compute(&k, 8)));
     EXPECT_EQ(found->index, found->hash % t.buckets());
+}
+
+TEST(Cuckoo, NonPowerOfTwoBucketsIndexByModulo)
+{
+    // Only power-of-two tables index with a mask; any other size must
+    // still reduce each hash modulo the bucket count.
+    auto t = makeTable(12);
+    Rng rng(3);
+    std::vector<uint64_t> keys;
+    for (int i = 0; i < 8; ++i) {
+        keys.push_back(rng.next());
+        t.insert(keys.back());
+    }
+    size_t found = 0;
+    for (uint64_t k : keys) {
+        auto hit = t.lookup(k);
+        if (!hit)
+            continue;
+        ++found;
+        EXPECT_EQ(hit->index, hit->hash % 12);
+        EXPECT_EQ(t.indexOf(hit->hash), hit->hash % 12);
+        ASSERT_NE(t.at(hit->way, hit->hash), nullptr);
+        EXPECT_EQ(*t.at(hit->way, hit->hash), k);
+    }
+    EXPECT_EQ(found, t.size());
+    EXPECT_GT(found, 0u);
 }
 
 TEST(Cuckoo, AtReadsByLocation)
@@ -194,8 +220,10 @@ TEST(Cuckoo, EvictionAfterExactlyMaxDisplacements)
     // a third insert must swap precisely kMaxDisp times, then evict.
     constexpr unsigned kMaxDisp = 5;
     CuckooTable<uint64_t> t(
-        1, [](const uint64_t &) { return uint64_t{0}; },
-        [](const uint64_t &) { return uint64_t{0}; }, kMaxDisp);
+        1,
+        {[](const uint64_t &) { return uint64_t{0}; },
+         [](const uint64_t &) { return uint64_t{0}; }},
+        kMaxDisp);
 
     EXPECT_EQ(t.insert(10), CuckooInsert::Inserted);
     EXPECT_EQ(t.insert(20), CuckooInsert::Inserted);

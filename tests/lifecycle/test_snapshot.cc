@@ -12,9 +12,13 @@
 #include <vector>
 
 #include "core/software.hh"
+#include "hash/crc64.hh"
 #include "lifecycle/snapshot.hh"
 #include "os/syscalls.hh"
 #include "seccomp/profile.hh"
+#include "sim/machine.hh"
+#include "support/random.hh"
+#include "workload/generator.hh"
 
 namespace draco::lifecycle {
 namespace {
@@ -278,6 +282,51 @@ TEST(Snapshot, CompactRoundTripIsIdentity)
     std::string error;
     ASSERT_TRUE(parseSnapshotBlocks(s.bytes, blocks, &error)) << error;
     EXPECT_EQ(serializeSnapshotBlocks(blocks), s.bytes);
+}
+
+/**
+ * Golden VAT layout: the `.dtss` bytes of a checker warmed on an
+ * app-derived complete profile carry every table's sid order, bucket
+ * count, slot placement and counters. The constant is the CRC-64 of the
+ * bytes the std::map-keyed VAT produced, so any change to hashing,
+ * indexing, table order or counting moves it.
+ */
+TEST(Snapshot, GoldenVatLayoutIsPinned)
+{
+    const auto *app = workload::workloadByName("redis");
+    ASSERT_NE(app, nullptr);
+    auto policy = core::CompiledPolicy::compile(
+        sim::makeAppProfiles(*app, 21, 20000).complete);
+    core::DracoSoftwareChecker checker(policy);
+    workload::TraceGenerator gen(*app, 22);
+    for (int i = 0; i < 20000; ++i)
+        checker.check(gen.next().req);
+    ASSERT_GT(checker.vat().tableCount(), 1u);
+    ASSERT_GT(checker.stats().vatHits, 0u);
+
+    // Overfill the first table so displacement chains and evictions
+    // are pinned too.
+    uint16_t sid = 0;
+    uint64_t mask = 0;
+    checker.vat().forEachTable([&](uint16_t s, uint64_t m, const auto &) {
+        if (mask == 0) {
+            sid = s;
+            mask = m;
+        }
+    });
+    Rng rng(23);
+    for (int i = 0; i < 256; ++i) {
+        seccomp::ArgVector args{};
+        for (uint64_t &arg : args)
+            arg = rng.next();
+        checker.mutableVat().insert(sid, core::ArgKey(mask, args));
+    }
+    ASSERT_GT(checker.vat().evictions(), 0u);
+
+    const std::vector<uint8_t> bytes =
+        encodeSnapshot("golden", checker, 1);
+    EXPECT_EQ(crc64Ecma().compute(bytes.data(), bytes.size()),
+              0xd222184b9a301c3bULL);
 }
 
 } // namespace

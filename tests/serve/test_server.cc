@@ -346,6 +346,50 @@ TEST(SocketServer, MismatchedHelloVersionIsRefused)
     service.stop();
 }
 
+/**
+ * A protocol violation drains discarding: a client that pipelines
+ * more replies than the socket buffers, sends a corrupt frame and then
+ * never reads is reaped as soon as its batches complete. A drain that
+ * kept output would wait on that reader until stop().
+ */
+TEST(SocketServer, ProtocolViolationDrainsDiscarding)
+{
+    const std::string path = socketPath("violation");
+    CheckService service;
+    SocketServer server(service, path);
+    ASSERT_TRUE(server.start());
+
+    auto admin = SocketClient::connect(path);
+    ASSERT_NE(admin, nullptr);
+    TenantId id = admin->createTenant("violation", "docker-default");
+    ASSERT_NE(id, kInvalidTenant);
+
+    auto client = SocketClient::connect(path);
+    ASSERT_NE(client, nullptr);
+    // 64 x 4096 verdicts: about 1 MiB of replies, well past what the
+    // socket buffers for a reader that never reads.
+    wire::CheckBatch msg;
+    msg.tenantId = id;
+    msg.reqs = trafficMix(6, 4096);
+    for (uint64_t b = 1; b <= 64; ++b) {
+        msg.batchId = b;
+        std::vector<uint8_t> payload;
+        wire::encode(payload, msg);
+        ASSERT_TRUE(wire::writeFrame(client->fd(), payload));
+    }
+    const uint8_t corrupt[4] = {0xff, 0xff, 0xff, 0xff}; // oversized
+    ASSERT_EQ(::write(client->fd(), corrupt, sizeof(corrupt)),
+              static_cast<ssize_t>(sizeof(corrupt)));
+
+    ASSERT_TRUE(eventually(
+        [&] { return server.activeConnections() == 1; }))
+        << server.activeConnections()
+        << " connections alive (want only the admin client)";
+    server.stop();
+    EXPECT_EQ(server.connectionsAccepted(), server.connectionsReaped());
+    service.stop();
+}
+
 /** A Shutdown frame stops the whole server, unblocking wait(). */
 TEST(SocketServer, ShutdownFrameStopsTheServer)
 {
