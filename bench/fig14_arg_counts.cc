@@ -68,11 +68,8 @@ main(int argc, char **argv)
     for (const auto *app : benchWorkloads()) {
         const auto &profile = cache.get(*app).complete;
         std::vector<unsigned> counts;
-        for (const auto &[sid, spec] :
-             core::deriveCheckSpecs(profile)) {
-            counts.push_back(spec.checksArguments() ? spec.argCount()
-                                                    : 0);
-        }
+        for (const auto &[sid, spec] : core::deriveCheckSpecs(profile))
+            counts.push_back(core::argCount(spec.bitmask));
         addDistributionRow(table, report, app->name, counts);
     }
     table.print();

@@ -8,7 +8,7 @@
 namespace draco::core {
 
 unsigned
-CheckSpec::argCount() const
+argCount(uint64_t bitmask)
 {
     unsigned count = 0;
     for (unsigned arg = 0; arg < os::kMaxSyscallArgs; ++arg)

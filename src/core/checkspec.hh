@@ -39,10 +39,10 @@ struct CheckSpec {
 
     /** @return true when the rule requires argument checking. */
     bool checksArguments() const { return bitmask != 0; }
-
-    /** @return Number of arguments with at least one selected byte. */
-    unsigned argCount() const;
 };
+
+/** @return Number of arguments with at least one @p bitmask byte. */
+unsigned argCount(uint64_t bitmask);
 
 /**
  * Derive the check specification for every syscall a profile allows.

@@ -21,38 +21,20 @@ allocateSoftSptBase()
 
 HwProcessContext::HwProcessContext(const seccomp::Profile &profile,
                                    unsigned filter_copies)
-    : _profile(profile), _filterCopies(filter_copies),
-      _filter(seccomp::buildFilterChain(profile)),
-      _specs(deriveCheckSpecs(profile)),
+    : HwProcessContext(CompiledPolicy::compile(profile), filter_copies)
+{
+}
+
+HwProcessContext::HwProcessContext(
+    std::shared_ptr<const CompiledPolicy> policy, unsigned filter_copies)
+    : _policy(std::move(policy)), _filterCopies(filter_copies),
       _softSptBase(allocateSoftSptBase())
 {
+    if (!_policy)
+        fatal("HwProcessContext: null compiled policy");
     if (filter_copies == 0)
         fatal("HwProcessContext: need at least one filter copy");
-    for (const auto &[sid, spec] : _specs)
-        if (spec.checksArguments())
-            _vat.configure(sid, spec.bitmask, spec.estimatedSets);
-}
-
-const CheckSpec *
-HwProcessContext::spec(uint16_t sid) const
-{
-    auto it = _specs.find(sid);
-    return it == _specs.end() ? nullptr : &it->second;
-}
-
-std::pair<bool, uint64_t>
-HwProcessContext::runFilter(const os::SyscallRequest &req)
-{
-    os::SeccompData data = req.toSeccompData();
-    uint64_t insns = 0;
-    uint32_t action = 0;
-    for (unsigned copy = 0; copy < _filterCopies; ++copy) {
-        seccomp::BpfResult r = _filter.run(data);
-        action = r.action;
-        insns += r.insnsExecuted;
-    }
-    return {os::actionAllows(static_cast<os::SeccompAction>(action)),
-            insns};
+    _policy->configureVat(_vat);
 }
 
 uint64_t
@@ -174,23 +156,22 @@ DracoHardwareEngine::onDispatch(uint64_t pc)
     uint16_t sid = prediction->sid;
     if (_tracer)
         _tracer->record(obs::EventKind::StbHit, sid, pc);
-    const CheckSpec *spec = _proc->spec(sid);
-    if (!spec)
+    const SptEntry &entry = _proc->policy().sptEntry(sid);
+    if (!entry.valid)
         return;
 
     // Hardware SPT provides the bitmask/argument count; fill from the
     // in-memory software SPT on a miss (a hidden, speculative read).
-    auto sptEntry = _spt.lookup(sid);
-    if (!sptEntry) {
+    if (!_spt.lookup(sid)) {
         _pending.memAddrs.push_back(_proc->softSptAddress(sid));
-        _spt.fill(sid, spec->bitmask);
-        sptEntry = _spt.lookup(sid);
+        _spt.fill(sid, entry.bitmask);
+        _spt.lookup(sid); // read the filled entry
     }
 
-    if (spec->bitmask == 0)
+    if (entry.bitmask == 0)
         return; // ID-only: nothing to preload.
 
-    unsigned argc = spec->argCount();
+    unsigned argc = argCount(entry.bitmask);
     if (_slb.preloadProbe(argc, sid, prediction->token)) {
         _pending.preloadHit = true;
         if (_tracer)
@@ -250,31 +231,22 @@ DracoHardwareEngine::onRobHead(const os::SyscallRequest &req)
     }
     _pending = Pending{};
 
-    const CheckSpec *spec = _proc->spec(req.sid);
-    if (!spec) {
+    const SptEntry &entry = _proc->policy().sptEntry(req.sid);
+    if (!entry.valid) {
         // SPT Valid bit clear: the OS runs the Seccomp filter, which
         // (for whitelist profiles) rejects the call.
-        auto [allowed, insns] = _proc->runFilter(req);
-        if (_tracer) {
-            _tracer->record(obs::EventKind::FilterRun, req.sid, req.pc,
-                            0, insns);
-        }
-        result.filterRun = true;
-        result.filterInsns = insns;
-        result.allowed = allowed;
-        result.flow = allowed ? HwFlow::F6 : HwFlow::Denied;
+        result.flow = runFilter(req, result) ? HwFlow::F6 : HwFlow::Denied;
         ++_stats.flows[static_cast<size_t>(result.flow)];
         return result;
     }
 
-    auto sptEntry = _spt.lookup(req.sid);
-    if (!sptEntry) {
+    if (!_spt.lookup(req.sid)) {
         // Fill from the software SPT; this read stalls at the head.
         result.headMemAddrs.push_back(_proc->softSptAddress(req.sid));
-        _spt.fill(req.sid, spec->bitmask);
+        _spt.fill(req.sid, entry.bitmask);
     }
 
-    if (spec->bitmask == 0) {
+    if (entry.bitmask == 0) {
         result.allowed = true;
         result.flow = HwFlow::IdOnly;
         // Keep the STB warm so the SID predicts on the next visit.
@@ -283,10 +255,8 @@ DracoHardwareEngine::onRobHead(const os::SyscallRequest &req)
         return result;
     }
 
-    seccomp::ArgVector args;
-    std::copy(req.args.begin(), req.args.end(), args.begin());
-    ArgKey key(spec->bitmask, args);
-    unsigned argc = spec->argCount();
+    ArgKey key(entry.bitmask, req.args);
+    unsigned argc = argCount(entry.bitmask);
 
     // Commit any staged preload for this syscall: the non-speculative
     // access is what moves Temporary Buffer contents into the SLB.
@@ -325,15 +295,7 @@ DracoHardwareEngine::onRobHead(const os::SyscallRequest &req)
     if (!vatHit) {
         // Not validated yet: the OS runs the filter (SWCheckNeeded path,
         // §VII-B) and, on success, updates the VAT.
-        auto [allowed, insns] = _proc->runFilter(req);
-        if (_tracer) {
-            _tracer->record(obs::EventKind::FilterRun, req.sid, req.pc,
-                            0, insns);
-        }
-        result.filterRun = true;
-        result.filterInsns = insns;
-        result.allowed = allowed;
-        if (!allowed) {
+        if (!runFilter(req, result)) {
             result.flow = HwFlow::Denied;
             ++_stats.flows[static_cast<size_t>(HwFlow::Denied)];
             return result;
@@ -357,6 +319,23 @@ DracoHardwareEngine::onRobHead(const os::SyscallRequest &req)
     }
     ++_stats.flows[static_cast<size_t>(result.flow)];
     return result;
+}
+
+bool
+DracoHardwareEngine::runFilter(const os::SyscallRequest &req,
+                               HwSyscallResult &result)
+{
+    seccomp::BpfResult r =
+        _proc->policy().runFilter(req, _proc->filterCopies());
+    if (_tracer) {
+        _tracer->record(obs::EventKind::FilterRun, req.sid, req.pc, 0,
+                        r.insnsExecuted);
+    }
+    result.filterRun = true;
+    result.filterInsns = r.insnsExecuted;
+    result.allowed =
+        os::actionAllows(static_cast<os::SeccompAction>(r.action));
+    return result.allowed;
 }
 
 HwSyscallResult

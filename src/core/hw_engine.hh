@@ -13,7 +13,6 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -22,27 +21,34 @@
 #include "core/software.hh"
 #include "core/vat.hh"
 #include "obs/tracer.hh"
-#include "seccomp/filter_builder.hh"
 
 namespace draco::core {
 
 /**
- * Per-process state the OS maintains for hardware Draco: the profile,
- * its compiled fallback filter, the derived check specs (the software
- * SPT image), and the VAT.
+ * Per-process state the OS maintains for hardware Draco: the shared
+ * CompiledPolicy (whose flat `spt` is the in-memory software SPT the
+ * hardware SPT fills from, §VI), the attached filter-copy count, and
+ * the process's VAT.
  */
 class HwProcessContext
 {
   public:
     /**
-     * @param profile Policy for this process (copied).
+     * @param profile Policy for this process (compiled privately).
      * @param filter_copies 1, or 2 for syscall-complete-2x.
      */
     explicit HwProcessContext(const seccomp::Profile &profile,
                               unsigned filter_copies = 1);
 
-    /** @return The check spec for @p sid, or nullptr if disallowed. */
-    const CheckSpec *spec(uint16_t sid) const;
+    /** Share a pre-compiled policy; the VAT stays per-process. */
+    explicit HwProcessContext(std::shared_ptr<const CompiledPolicy> policy,
+                              unsigned filter_copies = 1);
+
+    /** @return The shared compiled policy backing this process. */
+    const CompiledPolicy &policy() const { return *_policy; }
+
+    /** @return Attached filter copies. */
+    unsigned filterCopies() const { return _filterCopies; }
 
     /** Export per-process state (the VAT) under @p prefix. */
     void exportMetrics(MetricRegistry &registry,
@@ -52,9 +58,6 @@ class HwProcessContext
     Vat &vat() { return _vat; }
     const Vat &vat() const { return _vat; }
 
-    /** Run the fallback filter; @return (allowed, instructions). */
-    std::pair<bool, uint64_t> runFilter(const os::SyscallRequest &req);
-
     /** @return Synthetic address of the software SPT entry for @p sid. */
     uint64_t softSptAddress(uint16_t sid) const;
 
@@ -62,10 +65,8 @@ class HwProcessContext
     std::vector<HwSptEntry> savedSpt;
 
   private:
-    seccomp::Profile _profile;
+    std::shared_ptr<const CompiledPolicy> _policy;
     unsigned _filterCopies;
-    seccomp::FilterChain _filter;
-    std::map<uint16_t, CheckSpec> _specs;
     Vat _vat;
     uint64_t _softSptBase;
 };
@@ -234,6 +235,9 @@ class DracoHardwareEngine
                        const std::string &prefix) const;
 
   private:
+    /** Run the process's filter at the head: trace it, fill @p result. */
+    bool runFilter(const os::SyscallRequest &req, HwSyscallResult &result);
+
     struct Pending {
         bool valid = false;
         uint64_t pc = 0;

@@ -32,7 +32,7 @@ CompiledPolicy::CompiledPolicy(const seccomp::Profile &profile_,
       programKey(filterProgramKey(filter))
 {
     // Argument-checking syscalls take dense VAT slots in ascending sid
-    // order, the order DracoSoftwareChecker configures its VAT in.
+    // order, the order configureVat() configures a VAT in.
     uint16_t slot = 0;
     for (const auto &[sid, spec] : specs) {
         SptEntry &entry = spt.at(sid);
@@ -41,6 +41,14 @@ CompiledPolicy::CompiledPolicy(const seccomp::Profile &profile_,
         if (spec.checksArguments())
             entry.vatSlot = slot++;
     }
+}
+
+void
+CompiledPolicy::configureVat(Vat &vat) const
+{
+    for (const auto &[sid, spec] : specs)
+        if (spec.checksArguments())
+            vat.configure(sid, spec.bitmask, spec.estimatedSets);
 }
 
 std::shared_ptr<const CompiledPolicy>
@@ -66,12 +74,7 @@ DracoSoftwareChecker::DracoSoftwareChecker(
         fatal("DracoSoftwareChecker: null compiled policy");
     if (filter_copies == 0)
         fatal("DracoSoftwareChecker: need at least one filter copy");
-    // The OS sizes one VAT table per argument-checking syscall from the
-    // profile's estimated set counts (§VII-A). Ascending sid order makes
-    // each table's VAT slot the one the policy's SPT entry names.
-    for (const auto &[sid, spec] : _policy->specs)
-        if (spec.checksArguments())
-            _vat.configure(sid, spec.bitmask, spec.estimatedSets);
+    _policy->configureVat(_vat);
 }
 
 namespace {
@@ -105,13 +108,7 @@ DracoSoftwareChecker::check(const os::SyscallRequest &req)
     SwCheckOutcome out;
 
     auto runFilter = [&] {
-        os::SeccompData data = req.toSeccompData();
-        seccomp::BpfResult result{};
-        for (unsigned copy = 0; copy < _filterCopies; ++copy) {
-            seccomp::BpfResult r = _policy->filter.run(data);
-            result.action = r.action; // identical copies agree
-            result.insnsExecuted += r.insnsExecuted;
-        }
+        seccomp::BpfResult result = _policy->runFilter(req, _filterCopies);
         ++_stats.filterRuns;
         _stats.filterInsns += result.insnsExecuted;
         out.filterInsns = result.insnsExecuted;

@@ -111,6 +111,23 @@ struct CompiledPolicy {
         return sid < spt.size() ? spt[sid] : kInvalid;
     }
 
+    /** Run the fallback filter @p copies times (identical copies agree). */
+    seccomp::BpfResult
+    runFilter(const os::SyscallRequest &req, unsigned copies) const
+    {
+        os::SeccompData data = req.toSeccompData();
+        seccomp::BpfResult result{};
+        for (unsigned copy = 0; copy < copies; ++copy) {
+            seccomp::BpfResult r = filter.run(data);
+            result.action = r.action;
+            result.insnsExecuted += r.insnsExecuted;
+        }
+        return result;
+    }
+
+    /** Size a @p vat table per argument-checking spec, in slot order. */
+    void configureVat(Vat &vat) const;
+
     /** Compile @p profile into a shareable policy. */
     static std::shared_ptr<const CompiledPolicy> compile(
         const seccomp::Profile &profile,

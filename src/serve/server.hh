@@ -66,24 +66,6 @@ struct ServerOptions {
     /** Event-loop threads; connections spread round-robin. */
     unsigned eventThreads = 2;
 
-    /** listen(2) backlog for both listeners. */
-    int backlog = 128;
-
-    /**
-     * Staged-output cap per connection. A client that stops reading
-     * while replies accumulate beyond this is treated as dead (the
-     * connection is torn down, output discarded) so one stalled peer
-     * cannot pin unbounded memory.
-     */
-    size_t maxOutputBytes = 16u << 20;
-
-    /**
-     * After stop(), draining connections get this long to accept
-     * their remaining replies before undeliverable output is dropped;
-     * keeps shutdown bounded when a client never reads.
-     */
-    unsigned drainGraceMs = 5000;
-
     /**
      * TCP "host:port" for the observability endpoint ("" disables).
      * When set, the server owns an obs::ServeObs: every CheckBatch is

@@ -82,6 +82,13 @@ Batch::onComplete(std::function<void()> callback)
 
 namespace {
 
+/**
+ * Most tenants exportMetrics() emits per-tenant counter blocks for — at
+ * fleet scale a million tenants would swamp the JSON;
+ * `<prefix>.tenants.exported` records the cap applied.
+ */
+constexpr uint32_t kTenantMetricsLimit = 1024;
+
 /** Requests an item charges against queue capacity and drain budget. */
 uint32_t
 itemRequests(uint32_t count, bool isCheck)
@@ -920,7 +927,7 @@ CheckService::exportMetrics(MetricRegistry &registry,
 
     uint32_t count = _tenantCount.load(std::memory_order_acquire);
     registry.setCounter(name("tenants.count"), count);
-    uint32_t exported = std::min(count, _options.tenantMetricsLimit);
+    uint32_t exported = std::min(count, kTenantMetricsLimit);
     registry.setCounter(name("tenants.exported"), exported);
     for (uint32_t i = 0; i < exported; ++i) {
         const TenantState *t = _tenants[i].get();

@@ -99,20 +99,19 @@ MechanismPricer::MechanismPricer(Mechanism mechanism,
       _costs(*config.costs), _robRng(splitSeed(auxSeed, "rob")),
       _tracer(config.tracer)
 {
+    if (mechanism != Mechanism::Insecure)
+        _policy = core::CompiledPolicy::compile(profile, config.shape);
     switch (mechanism) {
       case Mechanism::Insecure:
-        break;
       case Mechanism::Seccomp:
-        _filter = std::make_unique<seccomp::FilterChain>(
-            seccomp::buildFilterChain(profile, config.shape));
         break;
       case Mechanism::DracoSW:
         _sw = std::make_unique<core::DracoSoftwareChecker>(
-            profile, config.filterCopies, config.shape);
+            _policy, config.filterCopies);
         break;
       case Mechanism::DracoHW:
         _hwProc = std::make_unique<core::HwProcessContext>(
-            profile, config.filterCopies);
+            _policy, config.filterCopies);
         _hwEngine = config.slbGeometry
             ? std::make_unique<core::DracoHardwareEngine>(
                   config.hwPreload, *config.slbGeometry)
@@ -197,7 +196,7 @@ MechanismPricer::price(const workload::TraceEvent &event,
         os::SeccompData data = event.req.toSeccompData();
         price.flow = obs::FlowCode::Seccomp;
         for (unsigned copy = 0; copy < _filterCopies; ++copy) {
-            seccomp::BpfResult r = _filter->run(data);
+            seccomp::BpfResult r = _policy->filter.run(data);
             price.checkNs +=
                 _costs.seccompEntryNs + r.insnsExecuted * _costs.bpfInsnNs;
             price.filterInsns += r.insnsExecuted;

@@ -3,7 +3,7 @@
  * Per-event pricing of one checking mechanism.
  *
  * MechanismPricer owns the state one simulated core needs to check and
- * price syscalls under one mechanism — the compiled filter chain, the
+ * price syscalls under one mechanism — the compiled policy, the
  * software SPT/VAT checker, or the hardware engine with its cache
  * hierarchy — and turns one TraceEvent into the nanoseconds its check
  * costs. It is the shared kernel of every replay path: the single-core
@@ -121,7 +121,7 @@ class MechanismPricer
     Mechanism _mechanism;
     unsigned _filterCopies;
     const os::KernelCosts &_costs;
-    std::unique_ptr<seccomp::FilterChain> _filter;
+    std::shared_ptr<const core::CompiledPolicy> _policy;
     std::unique_ptr<core::DracoSoftwareChecker> _sw;
     std::unique_ptr<core::HwProcessContext> _hwProc;
     std::unique_ptr<core::DracoHardwareEngine> _hwEngine;

@@ -53,14 +53,16 @@ CliFlags::addUint(const std::string &name, const std::string &valueName,
 }
 
 void
-CliFlags::addCommon()
+CliFlags::addCommon(bool threads)
 {
     addString("json", "path",
               "write the metric registry as JSON to <path> "
               "(env DRACO_BENCH_JSON=<dir> is the fallback)");
-    addUint("threads", "n",
-            "worker threads for parallel work "
-            "(env DRACO_BENCH_THREADS; default: hardware concurrency)");
+    if (threads) {
+        addUint("threads", "n",
+                "worker threads for parallel work "
+                "(env DRACO_BENCH_THREADS; default: hardware concurrency)");
+    }
     addString("trace-out", "path",
               "record an event trace and export it to <path> "
               "(.json: Perfetto, otherwise .devt; env DRACO_TRACE_OUT)");

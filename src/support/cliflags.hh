@@ -48,10 +48,11 @@ class CliFlags
 
     /**
      * Register the flags every bench/tool binary shares, with uniform
-     * help text: `--json <path>`, `--threads <n>`, `--trace-out <path>`,
-     * `--sample-every <cycles>`.
+     * help text: `--json <path>`, `--threads <n>` (unless @p threads is
+     * false, for a binary with no parallel work to size),
+     * `--trace-out <path>`, `--sample-every <cycles>`.
      */
-    void addCommon();
+    void addCommon(bool threads = true);
 
     /**
      * Parse @p argv.

@@ -28,7 +28,7 @@ TEST(CheckSpec, TupleRuleUsesFullBitmask)
     const auto *desc = os::syscallById(os::sc::read);
     EXPECT_EQ(specs[os::sc::read].bitmask, desc->argumentBitmask());
     EXPECT_EQ(specs[os::sc::read].estimatedSets, 1u);
-    EXPECT_EQ(specs[os::sc::read].argCount(), 2u); // fd + count
+    EXPECT_EQ(argCount(specs[os::sc::read].bitmask), 2u); // fd + count
 }
 
 TEST(CheckSpec, ZeroCheckedArgTupleRuleBecomesIdOnly)
@@ -46,7 +46,7 @@ TEST(CheckSpec, PerArgValuesRestrictsBitmaskToConstrainedArgs)
     auto specs = deriveCheckSpecs(p);
     // Constrained args select all eight register bytes.
     EXPECT_EQ(specs[os::sc::socket].bitmask, 0xffULL);
-    EXPECT_EQ(specs[os::sc::socket].argCount(), 1u);
+    EXPECT_EQ(argCount(specs[os::sc::socket].bitmask), 1u);
     EXPECT_EQ(specs[os::sc::socket].estimatedSets, 2u);
 }
 
@@ -57,7 +57,7 @@ TEST(CheckSpec, PerArgCrossProductEstimatesSets)
     p.allowArgValues(os::sc::socket, 1, {1, 2});
     auto specs = deriveCheckSpecs(p);
     EXPECT_EQ(specs[os::sc::socket].estimatedSets, 6u);
-    EXPECT_EQ(specs[os::sc::socket].argCount(), 2u);
+    EXPECT_EQ(argCount(specs[os::sc::socket].bitmask), 2u);
 }
 
 TEST(CheckSpec, DisallowedSyscallAbsent)

@@ -403,6 +403,81 @@ TEST(HwEngine, VatSharedAcrossEngineInstances)
     EXPECT_EQ(out.flow, HwFlow::F6);
 }
 
+TEST(HwEngine, GoldenFlowMixOnCompleteProfile)
+{
+    // Pins what one seeded stream does to the engine and its VAT, so a
+    // change to how a context is compiled or read shows up as a count.
+    const auto *app = workload::workloadByName("httpd");
+    ASSERT_NE(app, nullptr);
+    workload::TraceGenerator profGen(*app, 7);
+    seccomp::ProfileRecorder recorder;
+    for (int i = 0; i < 20000; ++i)
+        recorder.record(profGen.next().req);
+
+    HwProcessContext proc(recorder.makeComplete(app->name));
+    DracoHardwareEngine engine;
+    engine.switchTo(&proc);
+    workload::TraceGenerator gen(*app, 11);
+    uint64_t filterInsns = 0;
+    for (int i = 0; i < 20000; ++i)
+        filterInsns += engine.onSyscall(gen.next().req).filterInsns;
+
+    // IdOnly, F1..F6, Denied.
+    const std::array<uint64_t, 8> flows = {1961, 12415, 2933, 1452,
+                                           1121, 6,     65,   47};
+    EXPECT_EQ(engine.stats().flows, flows);
+    EXPECT_EQ(filterInsns, 21887u);
+    EXPECT_EQ(proc.vat().footprintBytes(), 23200u);
+    EXPECT_EQ(proc.vat().evictions(), 0u);
+    EXPECT_EQ(engine.slbStats().accessHits, 13873u);
+    EXPECT_EQ(engine.slbStats().preloadHits, 15384u);
+    EXPECT_EQ(engine.stbStats().hits, 19910u);
+}
+
+TEST(HwEngine, ContextHoldsTheSharedPolicy)
+{
+    auto policy = CompiledPolicy::compile(readProfile());
+    HwProcessContext proc(policy);
+    EXPECT_EQ(&proc.policy(), policy.get());
+}
+
+TEST(HwEngine, ContextConfiguresTheSoftwareCheckersTables)
+{
+    const auto *app = workload::workloadByName("redis");
+    ASSERT_NE(app, nullptr);
+    workload::TraceGenerator gen(*app, 3);
+    seccomp::ProfileRecorder recorder;
+    for (int i = 0; i < 5000; ++i)
+        recorder.record(gen.next().req);
+    auto policy = CompiledPolicy::compile(recorder.makeComplete("redis"));
+
+    using Table = std::tuple<uint16_t, uint64_t, size_t>;
+    auto tables = [](const Vat &vat) {
+        std::vector<Table> out;
+        vat.forEachTable(
+            [&](uint16_t sid, uint64_t bitmask, const VatCuckoo &cuckoo) {
+                out.emplace_back(sid, bitmask, cuckoo.buckets());
+            });
+        return out;
+    };
+    HwProcessContext proc(policy);
+    DracoSoftwareChecker checker(policy);
+    EXPECT_FALSE(tables(proc.vat()).empty());
+    EXPECT_EQ(tables(proc.vat()), tables(checker.vat()));
+}
+
+TEST(HwEngine, SidPastTheSptTakesTheFilter)
+{
+    HwProcessContext proc(readProfile());
+    DracoHardwareEngine engine;
+    engine.switchTo(&proc);
+    auto out = engine.onSyscall(request(0xffff));
+    EXPECT_FALSE(out.allowed);
+    EXPECT_EQ(out.flow, HwFlow::Denied);
+    EXPECT_TRUE(out.filterRun);
+    EXPECT_GT(out.filterInsns, 0u);
+}
+
 /** Hardware Draco must agree with the profile on arbitrary streams. */
 class HwEquivalenceTest : public testing::TestWithParam<const char *>
 {

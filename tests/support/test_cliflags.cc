@@ -166,5 +166,15 @@ TEST(CliFlags, AddCommonRegistersTheSharedFlags)
     EXPECT_EQ(flags.uintValue("sample-every"), 1000u);
 }
 
+TEST(CliFlags, AddCommonWithoutThreadsRejectsThreads)
+{
+    CliFlags flags("daemon");
+    flags.addCommon(/*threads=*/false);
+    Argv args({"--json=out.json", "--threads", "3"});
+    EXPECT_FALSE(flags.parse(args.argc(), args.argv()));
+    EXPECT_EQ(flags.error(), "unknown flag --threads");
+    EXPECT_EQ(flags.helpText().find("--threads"), std::string::npos);
+}
+
 } // namespace
 } // namespace draco::support

@@ -78,7 +78,7 @@ main(int argc, char **argv)
                   "capture requests slower than n microseconds "
                   "(admit to reply-flushed) into the /slowz ring "
                   "(0 = off; needs --metrics-listen)", 0);
-    flags.addCommon();
+    flags.addCommon(/*threads=*/false); // --shards sizes the workers
 
     if (!flags.parse(argc, argv)) {
         fprintf(stderr, "dracod: %s\n%s", flags.error().c_str(),

@@ -544,6 +544,10 @@ main(int argc, char **argv)
         fatal("dracoload: --socket and --connect are exclusive");
     bool socketMode = !flags.str("socket").empty() ||
                       !flags.str("connect").empty();
+    if (socketMode &&
+        (flags.given("trace-out") || flags.given("sample-every")))
+        fatal("dracoload: --trace-out/--sample-every trace the in-process "
+              "service only; pass them to dracod instead");
     auto dialServer = [&flags]() {
         return flags.str("socket").empty()
                    ? serve::SocketClient::connectTcp(flags.str("connect"))
